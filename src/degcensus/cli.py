@@ -305,9 +305,7 @@ def _exact_payload(args) -> dict:
                 raise UsageError("--stratified needs --x or --x-diagonal")
             strata = oracles.count_bipartite_stratified(dp, x, budget_s=budget_s)
             return {"stratified": [str(v) for v in strata]}
-        count = oracles.count_bipartite(
-            dp, x, budget_s=budget_s, workers=args.workers
-        )
+        count = oracles.count_bipartite(dp, x, budget_s=budget_s)
         return {"exact": str(count)}
     if args.loopfree:
         dp = _degree_pair(args)
@@ -417,14 +415,14 @@ def _instance_record(job: dict) -> dict:
                 raise UsageError(
                     f"context {context!r} needs a digraph family"
                 )
-            total = oracles.count_bipartite(dp, budget_s=budget_s)
             if context == "loopprob":
                 exact = Fraction(
-                    oracles.count_loopfree(dp, budget_s=budget_s), total
+                    oracles.count_loopfree(dp, budget_s=budget_s),
+                    oracles.count_bipartite(dp, budget_s=budget_s),
                 )
                 estimate = est.loopfree_probability(dp)
             elif context == "bipartite":
-                exact = total
+                exact = oracles.count_bipartite(dp, budget_s=budget_s)
                 estimate = est.estimate_bipartite(dp)
             elif context == "loopfree":
                 exact = oracles.count_loopfree(dp, budget_s=budget_s)
@@ -701,7 +699,7 @@ def cmd_switch_verify(args) -> int:
             raise UsageError("x-switch verification needs --x or --x-diagonal")
         report = verify_x_switch_identity(dp, x, args.f, budget_s=args.budget_S)
     out["report"] = report.to_json()
-    out["identity_holds"] = True
+    out["identity_holds"] = report.total_forward == report.total_reverse
     _emit(out)
     return EXIT_OK
 

@@ -679,10 +679,19 @@ def erdos_gallai_feasible(d: Sequence[int]) -> bool:
     if ds[-1] < 0 or sum(ds) % 2:
         return False
     n = len(ds)
+    # suffix[i] = ds[i] + ... + ds[n - 1]
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + ds[i]
     prefix = 0
+    big = n  # number of degrees >= k; it only shrinks as k grows
     for k in range(1, n + 1):
         prefix += ds[k - 1]
-        tail = sum(min(v, k) for v in ds[k:])
+        while big and ds[big - 1] < k:
+            big -= 1
+        # sum(min(v, k) for v in ds[k:]): ds[k:big] give k each, the rest themselves
+        capped = max(big - k, 0)
+        tail = k * capped + suffix[k + capped]
         if prefix > k * (k - 1) + tail:
             return False
     return True
@@ -696,10 +705,19 @@ def gale_ryser_feasible(s: Sequence[int], t: Sequence[int]) -> bool:
         return False
     if s and t and (max(s) > len(t) or max(t) > len(s)):
         return False
+    # at_least[v] = number of columns of degree >= v, so that
+    # sum(min(v, k) for v in t) = at_least[1] + ... + at_least[k]
+    at_least = [0] * (len(s) + 2)
+    for v in t:
+        at_least[v] += 1
+    for v in range(len(s), 0, -1):
+        at_least[v] += at_least[v + 1]
     p = sorted(s, reverse=True)
     prefix = 0
+    room = 0
     for k in range(1, len(p) + 1):
         prefix += p[k - 1]
-        if prefix > sum(min(v, k) for v in t):
+        room += at_least[k]
+        if prefix > room:
             return False
     return True

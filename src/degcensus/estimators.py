@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -343,8 +344,19 @@ class UndirectedCountEstimate(LogEstimate):
     def to_json(self) -> dict:
         out = super().to_json()
         if self.exact_prefactor is not None:
-            out["exact_prefactor"] = str(self.exact_prefactor)
+            out["exact_prefactor"] = _unlimited_str(self.exact_prefactor)
         return out
+
+
+def _unlimited_str(value: Fraction) -> str:
+    """str(value), past the interpreter's 4300-digit int-to-str limit.
+
+    Decimal converts an int exactly and is not subject to that limit.
+    """
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 def estimate_undirected(d: Sequence[int]) -> UndirectedCountEstimate:

@@ -2,16 +2,18 @@
 
 All results are exact Python integers or fractions.  Each function enforces
 a hard size budget and raises BudgetError beyond it; nothing here is meant
-to scale past validation instances.  Enumeration order is deterministic:
-rows are processed in decreasing degree (ties by index) and neighbour sets
-are generated in lexicographic column order.
+to scale past validation instances.  Rows are processed in decreasing degree
+(ties by index).  The bipartite, stratified, loop-free and oriented counts
+share one margin recursion over column types (_margin_count);
+enumerate_bipartite generates neighbour sets in lexicographic column order,
+so its output order is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -73,7 +75,6 @@ def enumerate_bipartite(
     x: ForbiddenGraph | None = None,
     *,
     budget_s: int = DEFAULT_EDGE_BUDGET,
-    prune: bool = True,
 ) -> Iterator[BipartiteGraph]:
     """Yield every simple bipartite realisation of (s, t), avoiding x if given.
 
@@ -109,7 +110,7 @@ def enumerate_bipartite(
         for combo in itertools.combinations(allowed, need):
             for j in combo:
                 resid[j] -= 1
-            if not prune or _residual_feasible(tails[k], resid):
+            if _residual_feasible(tails[k], resid):
                 chosen.append((row, combo))
                 yield from rec(k + 1)
                 chosen.pop()
@@ -119,50 +120,120 @@ def enumerate_bipartite(
     yield from rec(0)
 
 
-def _count_rec(
-    k: int,
-    resid: tuple[int, ...],
-    order: Sequence[int],
-    s: Sequence[int],
-    forbidden: frozenset,
-    tails: Sequence[Sequence[int]],
-    memo: dict,
-    prune: bool,
-) -> int:
-    if k == len(order):
-        return 1
-    key = (k, resid)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    row = order[k]
-    need = s[row]
-    n = len(resid)
-    allowed = [j for j in range(n) if resid[j] > 0 and (row, j) not in forbidden]
-    total = 0
-    if need <= len(allowed):
-        for combo in itertools.combinations(allowed, need):
-            nxt = list(resid)
-            for j in combo:
-                nxt[j] -= 1
-            if prune and not _residual_feasible(tails[k], nxt):
-                continue
-            total += _count_rec(
-                k + 1, tuple(nxt), order, s, forbidden, tails, memo, prune
-            )
-    memo[key] = total
-    return total
+def _margin_count(
+    dp: DegreePair,
+    x: ForbiddenGraph | None,
+    width: int,
+    *,
+    oriented: bool = False,
+) -> list[int]:
+    """Realisations of (s, t) using exactly f cells of x, for f = 0 .. width-1.
 
+    The margin recursion of Miller & Harrison (Ann. Statist. 41(3), 2013).
+    Rows are placed one at a time in _row_order.  A column's type is
+    (residual degree, mask, owner): bit k of the mask marks the column's x
+    cell in the row at position k, and owner is the position of the column's
+    own row while that row is pending (oriented counts only, else -1).
+    Columns of one type are interchangeable, so the state after k rows is
+    the multiset of types, equal states merge, and a row spreads its degree
+    over the type classes with binomial weights.  Counts are polynomials in
+    the number of x cells used, cut off at width; width 1 makes the cells of
+    x forbidden.
 
-def _count_branch(args) -> int:
-    s, t_resid, order, forbidden, prune, start = args
-    tails = [
-        sorted((s[r] for r in order[k + 1 :]), reverse=True)
-        for k in range(len(order))
-    ]
-    return _count_rec(
-        start, tuple(t_resid), order, s, frozenset(forbidden), tails, {}, prune
+    With oriented=True, x is the diagonal, and a row r that takes column c
+    while row c is pending marks column r for row c, which forbids the arc
+    back.  A column whose own row is pending carries that row's diagonal
+    bit, so it is alone in its class and the binomial weights stay valid.
+    """
+    order = _row_order(dp.s)
+    # rows of degree 0 come last and place nothing, so they get no position
+    rows = sum(1 for v in dp.s if v > 0)
+    pos = {row: k for k, row in enumerate(order[:rows])}
+    degs = [dp.s[row] for row in order[:rows]]
+    marks = [0] * dp.n
+    if x is not None:
+        for i, j in x.edges:
+            if i in pos:
+                marks[j] |= 1 << pos[i]
+    start = Counter(
+        (dp.t[j], marks[j], pos.get(j, -1) if oriented else -1)
+        for j in range(dp.n)
+        if dp.t[j] > 0
     )
+    # level: type multiset -> counts of the ways to place rows 0 .. k-1
+    level = {tuple(sorted(start.items())): [1] + [0] * (width - 1)}
+    for k, need in enumerate(degs):
+        nxt: dict = {}
+        for state, ways in level.items():
+            for picks, weight, used in _spreads(state, need, 1 << k, width):
+                child = _next_state(state, picks, k, oriented)
+                acc = nxt.get(child)
+                if acc is None:
+                    acc = nxt[child] = [0] * width
+                for f in range(width - used):
+                    acc[f + used] += weight * ways[f]
+        level = nxt
+    return level.get((), [0] * width)
+
+
+def _spreads(
+    state: tuple, need: int, bit: int, width: int
+) -> Iterator[tuple[list[int], int, int]]:
+    """Ways for a row of degree `need` to take its columns from the classes.
+
+    Yields (picks, weight, used): picks[i] columns of class i, chosen in
+    weight ways, of which `used` carry the row's bit; used stays below
+    width.  picks is one list, updated in place between yields.
+    """
+    picks = [0] * len(state)
+    # room[i] = number of columns in classes i, i+1, ...
+    room = list(
+        itertools.accumulate((size for _, size in reversed(state)), initial=0)
+    )[::-1]
+
+    def rec(first: int, left: int, weight: int, used: int):
+        # one level per class that takes columns, so the depth stays
+        # within the row's degree
+        if left == 0:
+            yield picks, weight, used
+            return
+        for i in range(first, len(state)):
+            if room[i] < left:
+                return
+            (_, mask, _), size = state[i]
+            marked = 1 if mask & bit else 0
+            top = min(size, left, width - 1 - used if marked else size)
+            for a in range(1, top + 1):
+                picks[i] = a
+                yield from rec(
+                    i + 1, left - a, weight * math.comb(size, a), used + marked * a
+                )
+            picks[i] = 0
+
+    return rec(0, need, 1, 0)
+
+
+def _next_state(state: tuple, picks: Sequence[int], k: int, oriented: bool) -> tuple:
+    """The type multiset after the row at position k took picks[i] of class i."""
+    bit = 1 << k
+    back = 0
+    if oriented:
+        for ((_, _, owner), _), a in zip(state, picks):
+            if a and owner > k:
+                back |= 1 << owner
+    out: dict = {}
+    for ((resid, mask, owner), size), a in zip(state, picks):
+        mask &= ~bit
+        if owner == k:
+            mask |= back
+            owner = -1
+        if a and resid > 1:
+            typ = (resid - 1, mask, owner)
+            out[typ] = out.get(typ, 0) + a
+        if size > a:
+            typ = (resid, mask, owner)
+            out[typ] = out.get(typ, 0) + size - a
+    return tuple(sorted(out.items()))
 
 
 def count_bipartite(
@@ -170,38 +241,15 @@ def count_bipartite(
     x: ForbiddenGraph | None = None,
     *,
     budget_s: int = DEFAULT_EDGE_BUDGET,
-    prune: bool = True,
-    workers: int = 1,
 ) -> int:
     """Number of simple bipartite graphs with degrees (s, t) avoiding x.
 
-    Infeasible pairs count zero; they are not an error.  With workers > 1 the
-    first row's neighbour-set choices are partitioned across processes and
-    the branch counts summed, which cannot change the total.
+    Infeasible pairs count zero; they are not an error.
     """
     _check_budget(dp.total, budget_s, "edge count S")
-    forbidden = x.edges if x is not None else frozenset()
     if x is not None:
         x._check_shape(dp)
-    order = _row_order(dp.s)
-    if workers <= 1:
-        return _count_branch((dp.s, dp.t, order, forbidden, prune, 0))
-
-    row = order[0]
-    need = dp.s[row]
-    allowed = [
-        j for j in range(dp.n) if dp.t[j] > 0 and (row, j) not in forbidden
-    ]
-    if need > len(allowed):
-        return 0
-    jobs = []
-    for combo in itertools.combinations(allowed, need):
-        resid = list(dp.t)
-        for j in combo:
-            resid[j] -= 1
-        jobs.append((dp.s, tuple(resid), order, forbidden, prune, 1))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_branch, jobs))
+    return _margin_count(dp, x, 1)[0]
 
 
 def count_bipartite_stratified(
@@ -217,42 +265,7 @@ def count_bipartite_stratified(
     """
     _check_budget(dp.total, budget_s, "edge count S")
     x._check_shape(dp)
-    order = _row_order(dp.s)
-    width = x.size + 1
-    tails = [
-        sorted((dp.s[r] for r in order[k + 1 :]), reverse=True)
-        for k in range(len(order))
-    ]
-    memo: dict = {}
-
-    def rec(k: int, resid: tuple[int, ...]) -> tuple[int, ...]:
-        if k == len(order):
-            return (1,) + (0,) * (width - 1)
-        key = (k, resid)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        row = order[k]
-        need = dp.s[row]
-        acc = [0] * width
-        allowed = [j for j in range(dp.n) if resid[j] > 0]
-        if need <= len(allowed):
-            for combo in itertools.combinations(allowed, need):
-                used = sum(1 for j in combo if (row, j) in x.edges)
-                nxt = list(resid)
-                for j in combo:
-                    nxt[j] -= 1
-                if not _residual_feasible(tails[k], nxt):
-                    continue
-                child = rec(k + 1, tuple(nxt))
-                for f in range(width - used):
-                    if child[f]:
-                        acc[f + used] += child[f]
-        out = tuple(acc)
-        memo[key] = out
-        return out
-
-    return list(rec(0, dp.t))
+    return _margin_count(dp, x, x.size + 1)
 
 
 def count_loopfree(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> int:
@@ -265,46 +278,13 @@ def count_loopfree(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> in
 def count_oriented(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> int:
     """Number of orientations: loop-free digraphs with no 2-cycles.
 
-    The 2-cycle constraint couples cells across rows, so this walks the
-    search tree explicitly instead of memoising on residual degrees.
+    The loop-free count with one more rule: an arc r -> c forbids the arc
+    c -> r while row c is still pending (see _margin_count).
     """
     if not dp.is_square:
         raise SquareOnlyError("oriented counting requires m == n")
     _check_budget(dp.total, budget_s, "edge count S")
-    order = _row_order(dp.s)
-    n = dp.n
-    tails = [
-        sorted((dp.s[r] for r in order[k + 1 :]), reverse=True)
-        for k in range(len(order))
-    ]
-    resid = list(dp.t)
-    picked: dict[int, set[int]] = {}
-
-    def rec(k: int) -> int:
-        if k == n:
-            return 1
-        row = order[k]
-        need = dp.s[row]
-        allowed = [
-            j
-            for j in range(n)
-            if resid[j] > 0 and j != row and row not in picked.get(j, ())
-        ]
-        if need > len(allowed):
-            return 0
-        total = 0
-        for combo in itertools.combinations(allowed, need):
-            for j in combo:
-                resid[j] -= 1
-            if _residual_feasible(tails[k], resid):
-                picked[row] = set(combo)
-                total += rec(k + 1)
-                del picked[row]
-            for j in combo:
-                resid[j] += 1
-        return total
-
-    return rec(0)
+    return _margin_count(dp, ForbiddenGraph.diagonal(dp.n), 1, oriented=True)[0]
 
 
 def graph_to_matrix(g: BipartiteGraph) -> list[list[int]]:

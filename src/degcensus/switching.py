@@ -508,6 +508,9 @@ def count_twocycle_switches(g: BipartiteGraph) -> int:
     so the ordered total is asserted even and halved.
     """
     _square_loopfree_or_raise(g)
+    if g.n < 10:
+        # every spec names ten distinct vertices (_twocycle_shape_violation)
+        return 0
     ordered = 0
     for i, j in g.twocycles():
         for cycle in ((i, j), (j, i)):
@@ -528,6 +531,9 @@ def count_reverse_twocycle_switches(g: BipartiteGraph) -> int:
     mirror-pair argument applies unchanged, so the ordered count is halved.
     """
     _square_loopfree_or_raise(g)
+    if g.n < 10:
+        # every spec names ten distinct vertices (_twocycle_shape_violation)
+        return 0
     arcs = sorted(g.edges)
     out_of: dict[int, list[Edge]] = {}
     into: dict[int, list[Edge]] = {}

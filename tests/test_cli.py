@@ -1,11 +1,15 @@
 """Command-line surface: modes, formats, determinism, exit codes."""
 
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
-from degcensus import estimate_bipartite, DegreePair
+from degcensus import cli, estimate_bipartite, DegreePair
 from degcensus.cli import main
+from degcensus.switching import SwitchCountReport
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +67,29 @@ class TestEstimateCommand:
             capsys, "estimate", "-d", "1,1,1,1", "--undirected", "--no-timestamp"
         )
         assert payload["estimate"]["exact_prefactor"] == "3"
+
+    def test_huge_undirected_prefactor_is_exact(self, capsys):
+        d = [4] * 800
+        (payload,) = run_json(
+            capsys,
+            "estimate", "-d", ",".join(map(str, d)), "--undirected",
+            "--no-timestamp",
+        )
+        half = sum(d) // 2
+        want = Fraction(
+            math.factorial(2 * half),
+            math.factorial(half) * 2**half * math.factorial(4) ** len(d),
+        )
+        text = payload["estimate"]["exact_prefactor"]
+        assert len(text) > 4300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(text) == want
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_mode_flag_required(self, capsys):
         code, _, err = run_cli(
@@ -338,6 +365,21 @@ class TestSwitchVerifyCommand:
         )
         assert payload["report"]["total_forward"] == "576"
         assert payload["report"]["total_reverse"] == "576"
+
+    def test_identity_holds_reads_the_totals(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "verify_twocycle_identity",
+            lambda dp, q, budget_s: SwitchCountReport(q, 3, 4),
+        )
+        (payload,) = run_json(
+            capsys,
+            "switch-verify", "-s", "1,1", "-t", "1,1",
+            "--twocycle", "-q", "1", "--no-timestamp",
+        )
+        assert payload["report"]["total_forward"] == "3"
+        assert payload["report"]["total_reverse"] == "4"
+        assert payload["identity_holds"] is False
 
     def test_needs_forbidden_set_without_twocycle(self, capsys):
         code, _, err = run_cli(

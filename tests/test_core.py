@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,19 @@ class TestFeasibility:
         realisable = bool(brute_bipartite(s, t))
         assert gale_ryser_feasible(s, t) == realisable
 
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    )
+    @settings(max_examples=200)
+    def test_gale_ryser_matches_its_inequalities(self, s, t):
+        # the textbook statement, one quadratic sum per k
+        p = sorted(s, reverse=True)
+        want = sum(s) == sum(t) and all(
+            sum(p[:k]) <= sum(min(v, k) for v in t) for k in range(1, len(p) + 1)
+        )
+        assert gale_ryser_feasible(s, t) == want
+
     def test_gale_ryser_rectangular(self):
         assert gale_ryser_feasible((2, 1), (1, 1, 1))
         assert not gale_ryser_feasible((3,), (1, 1))  # entry exceeds n... s_max > n
@@ -338,3 +352,27 @@ class TestFeasibility:
                     found = True
                     break
         assert erdos_gallai_feasible(d) == found
+
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_erdos_gallai_matches_its_inequalities(self, d):
+        ds = sorted(d, reverse=True)
+        n = len(ds)
+        want = sum(ds) % 2 == 0 and all(
+            sum(ds[:k]) <= k * (k - 1) + sum(min(v, k) for v in ds[k:])
+            for k in range(1, n + 1)
+        )
+        assert erdos_gallai_feasible(d) == want
+
+    def test_ten_thousand_vertices_are_fast(self):
+        n = 10_000
+        irregular = [1 + (7 * i) % 5 for i in range(n)]  # degrees 1..5, even sum
+        start = time.perf_counter()
+        assert erdos_gallai_feasible(irregular)
+        assert erdos_gallai_feasible([3] * n)
+        assert not erdos_gallai_feasible([n - 1] * 2 + [1] * (n - 2))
+        assert gale_ryser_feasible(irregular, irregular[::-1])
+        assert gale_ryser_feasible([2] * n, [4] * (n // 2))
+        zeros = [0] * (n - 2)
+        assert not gale_ryser_feasible([2, 2] + zeros, [3, 1] + zeros)
+        assert time.perf_counter() - start < 0.5
