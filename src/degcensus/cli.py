@@ -6,18 +6,27 @@ line per record, in instance order.  All objects are emitted with sorted keys
 so a run is byte-identical across platforms given the same inputs and seed;
 the only run-dependent field is the header timestamp, suppressed by
 --no-timestamp.  Exit codes: 0 all pass, 1 tolerance failure, 2 usage error,
-3 budget error (budget beats tolerance when both occur).
+3 budget error; a compare/sweep run exits with the highest code among its
+records, so budget beats usage and usage beats tolerance.
 
-Tolerances (--tol) are arithmetic expressions in the per-instance variables
-n, S, d, with log/sqrt/exp available, e.g. "5/n" or "0.5/sqrt(S)".
+The commands are driven by tables: ESTIMATES and EXACT_MODES hold one entry
+per mode flag (estimate and exact accept exactly one), FAMILIES and CONTEXTS
+hold the compare/sweep grids.
+
+Tolerances (--tol) are expressions in the per-instance variables n, S, d,
+e.g. "5/n" or "0.5/sqrt(S)".  Only numbers, those variables, binary
++ - * / **, unary - and +, and one-argument log/sqrt/exp calls are accepted,
+all evaluated in floats; anything else is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -50,28 +59,6 @@ EXIT_TOL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-FAMILIES = (
-    "one-regular",
-    "d-regular-digraph",
-    "d-regular-oriented",
-    "two-regular-undirected",
-)
-DEFAULT_CONTEXT = {
-    "one-regular": "loopprob",
-    "d-regular-digraph": "loopfree",
-    "d-regular-oriented": "oriented",
-    "two-regular-undirected": "undirected",
-}
-DIGRAPH_CONTEXTS = (
-    "loopprob",
-    "bipartite",
-    "loopfree",
-    "oriented",
-    "avoiding",
-    "twocycleprob",
-)
-UNDIRECTED_CONTEXTS = ("undirected", "eulerian-expect")
-
 
 class UsageError(Exception):
     """Bad flag combination or unparseable input; exits with code 2."""
@@ -92,6 +79,10 @@ def _int_arg(text: str, what: str) -> int:
         return int(text)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be an integer, got {text!r}")
+
+
+def _delta(args, k: int) -> tuple[int, ...]:
+    return _vec(args.delta, "--delta") if args.delta is not None else (0,) * k
 
 
 def _load_json(path: str) -> dict:
@@ -119,44 +110,62 @@ def _forbidden(args, dp: DegreePair) -> ForbiddenGraph | None:
     return None
 
 
-def _graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    payload = _load_json(path)
-    if "n" not in payload or "edges" not in payload:
-        raise UsageError(f"graph file {path} needs keys 'n' and 'edges'")
-    n = int(payload["n"])
-    edges = [tuple(int(v) for v in e) for e in payload["edges"]]
-    return n, edges
-
-
-def _timestamp_field(args) -> dict:
-    if args.no_timestamp:
-        return {}
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")
-    }
+def _header(args) -> dict:
+    out = {"command": args.subcommand, "config": _echo(args)}
+    if not args.no_timestamp:
+        out["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return out
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _one_mode(args, modes, command: str) -> str:
+    picked = [mode for mode in modes if getattr(args, mode)]
+    if len(picked) != 1:
+        raise UsageError(f"pick exactly one {command} mode flag")
+    return picked[0]
+
+
+_TOL_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+}
+_TOL_FUNCS = {"log": math.log, "sqrt": math.sqrt, "exp": math.exp}
+
+
 def _eval_tol(expr: str, **variables) -> float:
-    ns = {
-        "log": math.log,
-        "sqrt": math.sqrt,
-        "exp": math.exp,
-    }
-    ns.update({k: v for k, v in variables.items() if v is not None})
+    """Evaluate a --tol expression by walking its syntax tree (see module doc)."""
+
+    def walk(node) -> float:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and variables.get(node.id) is not None:
+            return float(variables[node.id])
+        if isinstance(node, ast.BinOp) and type(node.op) in _TOL_OPS:
+            return _TOL_OPS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _TOL_OPS:
+            return _TOL_OPS[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            func = _TOL_FUNCS.get(node.func.id)
+            if func is not None and len(node.args) == 1 and not node.keywords:
+                return func(walk(node.args[0]))
+        raise UsageError(
+            f"cannot evaluate tolerance {expr!r}: "
+            f"{ast.unparse(node)!r} is not allowed"
+        )
+
     try:
-        return float(eval(expr, {"__builtins__": {}}, ns))  # noqa: S307
-    except Exception as exc:
+        # a negative base to a fractional power gives a complex: float() fails
+        return float(walk(ast.parse(expr, mode="eval").body))
+    except (SyntaxError, RecursionError, ArithmeticError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot evaluate tolerance {expr!r}: {exc}")
-
-
-def _log_exact(value) -> float:
-    if isinstance(value, Fraction):
-        return math.log(value.numerator) - math.log(value.denominator)
-    return math.log(value)
 
 
 def _exact_str(value) -> str:
@@ -169,123 +178,78 @@ def _exact_str(value) -> str:
 # estimate
 # ---------------------------------------------------------------------------
 
-ESTIMATE_MODES = (
-    "bipartite",
-    "bipartite_avoiding",
-    "avoidance",
-    "subgraph",
-    "loopprob",
-    "loopfree",
-    "loopfree_avoiding",
-    "twocycle_free",
-    "oriented",
-    "regular_digraph",
-    "undirected",
-    "eulerian_expect",
-    "orient_expect",
-    "pauling",
-    "perm_sparse",
-    "perm_dense",
-    "perm_regular",
-)
+# Input kinds of the estimate modes: an -s/-t pair (forbidden set unused, empty
+# by default, or required), a -d vector (with --delta, zeros by default), and
+# -n/-d integers (as the d-regular pair, or as they are).
+PAIR, PAIR_X, PAIR_NEEDS_X = "pair", "pair+x", "pair+required x"
+D, D_DELTA = "d", "d+delta"
+REGULAR_PAIR, N_D = "n,d regular pair", "n,d"
+
+# mode -> (function of degcensus.estimators, input kind); the function is looked
+# up by name at each call, so a wrapper set on that module is seen
+ESTIMATES = {
+    "bipartite": ("estimate_bipartite", PAIR),
+    "bipartite_avoiding": ("estimate_bipartite_avoiding", PAIR_X),
+    "avoidance": ("avoidance_factor", PAIR_X),
+    "subgraph": ("subgraph_probability", PAIR_NEEDS_X),
+    "loopprob": ("loopfree_probability", PAIR),
+    "loopfree": ("estimate_loopfree_digraphs", PAIR),
+    "loopfree_avoiding": ("estimate_loopfree_avoiding", PAIR_NEEDS_X),
+    "twocycle_free": ("twocycle_free_probability", PAIR),
+    "oriented": ("estimate_oriented", PAIR),
+    "regular_digraph": ("estimate_loopfree_digraphs", REGULAR_PAIR),
+    "undirected": ("estimate_undirected", D),
+    "eulerian_expect": ("expected_orientations", D_DELTA),
+    "orient_expect": ("expected_orientations", D_DELTA),
+    "pauling": ("pauling_and_residual_entropy", D),
+    "perm_sparse": ("expected_permanent_sparse", PAIR),
+    "perm_dense": ("expected_permanent_dense", PAIR),
+    "perm_regular": ("expected_permanent_regular", N_D),
+}
 
 
 def _estimate_payload(args) -> dict:
-    mode = [m for m in ESTIMATE_MODES if getattr(args, m)]
-    if len(mode) != 1:
-        raise UsageError("pick exactly one estimate mode flag")
-    mode = mode[0]
-
-    if mode in ("undirected", "eulerian_expect", "orient_expect", "pauling"):
+    mode = _one_mode(args, ESTIMATES, "estimate")
+    name, kind = ESTIMATES[mode]
+    flag = "--" + mode.replace("_", "-")
+    cut = None  # the arguments of cutoffs(), reported for the pair kinds
+    if kind in (D, D_DELTA):
         if args.d is None:
-            raise UsageError(f"--{mode.replace('_', '-')} needs -d as a vector")
+            raise UsageError(f"{flag} needs -d as a vector")
         d = _vec(args.d, "-d")
-        if mode == "undirected":
-            res = est.estimate_undirected(d)
-            report = assumption_report(d, context=res.context)
-        elif mode == "pauling":
-            plain, sharp = est.pauling_and_residual_entropy(d)
-            return {
-                "residual_entropy": {"pauling": plain, "sharpened": sharp},
-                "assumptions": assumption_report(
-                    d, context="undirected-count"
-                ).to_json(),
-            }
+        subject = (d,)
+        inputs = (d, _delta(args, len(d))) if kind == D_DELTA else subject
+    elif kind in (REGULAR_PAIR, N_D):
+        n, d = _int_arg(args.n, "-n"), _int_arg(args.d, "-d")
+        if kind == N_D:
+            inputs, subject = (n, d), (None,)
         else:
-            delta = (
-                _vec(args.delta, "--delta")
-                if args.delta is not None
-                else (0,) * len(d)
-            )
-            res = est.expected_orientations(d, delta)
-            report = assumption_report(d, context=res.context)
-        return {"estimate": res.to_json(), "assumptions": report.to_json()}
-
-    if mode in ("regular_digraph", "perm_regular"):
-        n = _int_arg(args.n, "-n")
-        d_int = _int_arg(args.d, "-d")
-        if mode == "regular_digraph":
-            dp = DegreePair.regular(n, d_int)
-            res = est.estimate_loopfree_digraphs(dp)
-            report = assumption_report(dp, context=res.context)
-        else:
-            res = est.expected_permanent_regular(n, d_int)
-            report = assumption_report(None, context=res.context)
-        return {"estimate": res.to_json(), "assumptions": report.to_json()}
-
-    dp = _degree_pair(args)
-    x = _forbidden(args, dp)
-    if mode == "bipartite":
-        res = est.estimate_bipartite(dp)
-        report = assumption_report(dp, context=res.context)
-    elif mode == "bipartite_avoiding":
-        xg = x if x is not None else ForbiddenGraph.empty(dp.m, dp.n)
-        res = est.estimate_bipartite_avoiding(dp, xg)
-        report = assumption_report(dp, xg, context=res.context)
-    elif mode == "avoidance":
-        xg = x if x is not None else ForbiddenGraph.empty(dp.m, dp.n)
-        res = est.avoidance_factor(dp, xg)
-        report = assumption_report(dp, xg, context=res.context)
-    elif mode == "subgraph":
-        if x is None:
-            raise UsageError("--subgraph needs --x or --x-diagonal")
-        res = est.subgraph_probability(dp, x)
-        report = assumption_report(dp, x, context=res.context)
-    elif mode == "loopprob":
-        res = est.loopfree_probability(dp)
-        report = assumption_report(dp, context=res.context)
-    elif mode == "loopfree":
-        res = est.estimate_loopfree_digraphs(dp)
-        report = assumption_report(dp, context=res.context)
-    elif mode == "loopfree_avoiding":
-        if x is None:
-            raise UsageError("--loopfree-avoiding needs --x")
-        res = est.estimate_loopfree_avoiding(dp, x)
-        report = assumption_report(dp, x, context=res.context)
-    elif mode == "twocycle_free":
-        res = est.twocycle_free_probability(dp)
-        report = assumption_report(dp, context=res.context)
-    elif mode == "oriented":
-        res = est.estimate_oriented(dp)
-        report = assumption_report(dp, context=res.context)
-    elif mode == "perm_sparse":
-        res = est.expected_permanent_sparse(dp)
-        report = assumption_report(dp, context=res.context)
+            inputs = subject = (DegreePair.regular(n, d),)
     else:
-        res = est.expected_permanent_dense(dp)
-        report = assumption_report(dp, context=res.context)
+        dp = _degree_pair(args)
+        x = _forbidden(args, dp)
+        if kind == PAIR_NEEDS_X and x is None:
+            raise UsageError(f"{flag} needs --x or --x-diagonal")
+        xg = x if x is not None else ForbiddenGraph.empty(dp.m, dp.n)
+        inputs = subject = (dp,) if kind == PAIR else (dp, xg)
+        cut = (dp, x) if dp.total > 0 else None
+    res = getattr(est, name)(*inputs)
+    if not isinstance(res, est.LogEstimate):  # pauling: two entropies
+        plain, sharp = res
+        report = assumption_report(*subject, context="undirected-count")
+        return {
+            "residual_entropy": {"pauling": plain, "sharpened": sharp},
+            "assumptions": report.to_json(),
+        }
+    report = assumption_report(*subject, context=res.context)
     payload = {"estimate": res.to_json(), "assumptions": report.to_json()}
-    if dp.total > 0:
-        payload["cutoffs"] = cutoffs(dp, x).to_json()
+    if cut is not None:
+        payload["cutoffs"] = cutoffs(*cut).to_json()
     return payload
 
 
 def cmd_estimate(args) -> int:
-    payload = _estimate_payload(args)
-    out = {"command": "estimate", "config": _echo(args)}
-    out.update(_timestamp_field(args))
-    out.update(payload)
-    _emit(out)
+    _emit({**_header(args), **_estimate_payload(args)})
     return EXIT_OK
 
 
@@ -294,79 +258,86 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exact_payload(args) -> dict:
-    budget_s = args.budget_S
-    budget_n = args.budget_n
-    if args.bipartite:
-        dp = _degree_pair(args)
-        x = _forbidden(args, dp)
-        if args.stratified:
-            if x is None:
-                raise UsageError("--stratified needs --x or --x-diagonal")
-            strata = oracles.count_bipartite_stratified(dp, x, budget_s=budget_s)
-            return {"stratified": [str(v) for v in strata]}
-        count = oracles.count_bipartite(dp, x, budget_s=budget_s)
-        return {"exact": str(count)}
-    if args.loopfree:
-        dp = _degree_pair(args)
-        return {"exact": str(oracles.count_loopfree(dp, budget_s=budget_s))}
-    if args.oriented:
-        dp = _degree_pair(args)
-        return {"exact": str(oracles.count_oriented(dp, budget_s=budget_s))}
-    if args.undirected_count:
-        if args.d is None:
-            raise UsageError("--undirected-count needs -d")
-        d = _vec(args.d, "-d")
-        graphs = oracles.enumerate_undirected(d, budget_sum=budget_s)
-        return {"exact": str(len(graphs))}
-    if args.permanent:
-        payload = _load_json(args.permanent)
-        if "matrix" not in payload:
-            raise UsageError("permanent input file needs key 'matrix'")
-        return {
-            "exact": str(
-                oracles.ryser_permanent(payload["matrix"], budget_n=budget_n)
-            )
-        }
-    if args.eulerian:
-        if not args.graph:
-            raise UsageError("--eulerian needs --graph")
-        n, edges = _graph_file(args.graph)
-        return {
-            "exact": str(oracles.count_eulerian_orientations(n, edges))
-        }
-    if args.orientations:
-        if not args.graph:
-            raise UsageError("--orientations needs --graph")
-        n, edges = _graph_file(args.graph)
-        delta = (
-            _vec(args.delta, "--delta") if args.delta is not None else (0,) * n
+def _exact_bipartite(args) -> dict:
+    dp = _degree_pair(args)
+    x = _forbidden(args, dp)
+    if args.stratified:
+        if x is None:
+            raise UsageError("--stratified needs --x or --x-diagonal")
+        strata = oracles.count_bipartite_stratified(dp, x, budget_s=args.budget_S)
+        return {"stratified": [str(v) for v in strata]}
+    return {"exact": str(oracles.count_bipartite(dp, x, budget_s=args.budget_S))}
+
+
+def _exact_undirected(args) -> dict:
+    if args.d is None:
+        raise UsageError("--undirected-count needs -d")
+    graphs = oracles.enumerate_undirected(_vec(args.d, "-d"), budget_sum=args.budget_S)
+    return {"exact": str(len(graphs))}
+
+
+def _exact_permanent(args) -> dict:
+    payload = _load_json(args.permanent)
+    if "matrix" not in payload:
+        raise UsageError("permanent input file needs key 'matrix'")
+    value = oracles.ryser_permanent(payload["matrix"], budget_n=args.budget_n)
+    return {"exact": str(value)}
+
+
+def _graph(args, mode: str, needs: str = "--graph"):
+    """(n, edges) of the --graph file."""
+    if not args.graph:
+        raise UsageError(f"--{mode} needs {needs}")
+    payload = _load_json(args.graph)
+    if "n" not in payload or "edges" not in payload:
+        raise UsageError(f"graph file {args.graph} needs keys 'n' and 'edges'")
+    return int(payload["n"]), [tuple(int(v) for v in e) for e in payload["edges"]]
+
+
+def _exact_orientations(args) -> dict:
+    n, edges = _graph(args, "orientations")
+    count = oracles.count_orientations_with_degrees(n, edges, _delta(args, n))
+    return {"exact": str(count)}
+
+
+def _exact_complement(args) -> dict:
+    n, edges = _graph(args, "complement", "--graph (the hole pattern)")
+    holes = BipartiteGraph(n, n, edges)
+    exact, window = est.permanent_complement_ie(holes.degree_pair(), holes)
+    return {"exact": str(exact), "window": [window[0], window[1]]}
+
+
+def _pair_count(name: str):
+    """Handler of a mode that runs one oracle on the -s/-t pair."""
+    return lambda args: {
+        "exact": _exact_str(
+            getattr(oracles, name)(_degree_pair(args), budget_s=args.budget_S)
         )
-        return {
-            "exact": str(
-                oracles.count_orientations_with_degrees(n, edges, delta)
-            )
-        }
-    if args.expected_permanent:
-        dp = _degree_pair(args)
-        value = oracles.exact_expected_permanent(dp, budget_s=budget_s)
-        return {"exact": _exact_str(value)}
-    if args.complement:
-        if not args.graph:
-            raise UsageError("--complement needs --graph (the hole pattern)")
-        n, edges = _graph_file(args.graph)
-        holes = BipartiteGraph(n, n, edges)
-        exact, window = est.permanent_complement_ie(holes.degree_pair(), holes)
-        return {"exact": str(exact), "window": [window[0], window[1]]}
-    raise UsageError("pick exactly one exact mode flag")
+    }
+
+
+# mode flag -> handler returning the payload; --stratified modifies --bipartite
+EXACT_MODES = {
+    "bipartite": _exact_bipartite,
+    "loopfree": _pair_count("count_loopfree"),
+    "oriented": _pair_count("count_oriented"),
+    "undirected_count": _exact_undirected,
+    "eulerian": lambda args: {
+        "exact": str(oracles.count_eulerian_orientations(*_graph(args, "eulerian")))
+    },
+    "orientations": _exact_orientations,
+    "expected_permanent": _pair_count("exact_expected_permanent"),
+    "complement": _exact_complement,
+    "permanent": _exact_permanent,
+}
+
+
+def _exact_payload(args) -> dict:
+    return EXACT_MODES[_one_mode(args, EXACT_MODES, "exact")](args)
 
 
 def cmd_exact(args) -> int:
-    payload = _exact_payload(args)
-    out = {"command": "exact", "config": _echo(args)}
-    out.update(_timestamp_field(args))
-    out.update(payload)
-    _emit(out)
+    _emit({**_header(args), **_exact_payload(args)})
     return EXIT_OK
 
 
@@ -374,17 +345,67 @@ def cmd_exact(args) -> int:
 # compare / sweep
 # ---------------------------------------------------------------------------
 
+# family -> (default context, fixed degree or None for --d, undirected?)
+FAMILIES = {
+    "one-regular": ("loopprob", 1, False),
+    "d-regular-digraph": ("loopfree", None, False),
+    "d-regular-oriented": ("oriented", None, False),
+    "two-regular-undirected": ("undirected", 2, True),
+}
+UNDIRECTED_CONTEXTS = ("undirected", "eulerian-expect")
 
-def _family_degree(family: str, n: int, d: int | None):
-    if family == "one-regular":
-        return DegreePair.regular(n, 1), None
-    if family == "d-regular-digraph" or family == "d-regular-oriented":
-        if d is None:
-            raise UsageError(f"family {family} needs --d")
-        return DegreePair.regular(n, d), None
-    if family == "two-regular-undirected":
-        return None, (2,) * n
-    raise UsageError(f"unknown family {family!r}")
+
+def _realisations(d, budget_s: int) -> list:
+    graphs = oracles.enumerate_undirected(d, budget_sum=budget_s)
+    if not graphs:
+        raise UsageError("no simple graph realises this instance")
+    return graphs
+
+
+def _eulerian_mean(d, budget_s: int) -> Fraction:
+    graphs = _realisations(d, budget_s)
+    counts = [oracles.count_eulerian_orientations(len(d), g) for g in graphs]
+    return Fraction(sum(counts), len(counts))
+
+
+def _oracle(name: str):
+    """(degrees, budget) -> count, by a function of degcensus.oracles."""
+    return lambda dp, budget_s: getattr(oracles, name)(dp, budget_s=budget_s)
+
+
+def _diagonal(dp: DegreePair) -> ForbiddenGraph:
+    return ForbiddenGraph.diagonal(dp.n)
+
+
+# context -> (exact count, count of the probability's denominator or None,
+# estimate); each takes the instance's degrees: the regular pair, or the
+# degree vector for the undirected contexts
+_BIPARTITE, _LOOPFREE = _oracle("count_bipartite"), _oracle("count_loopfree")
+_ORIENTED = _oracle("count_oriented")
+CONTEXTS = {
+    "loopprob": (_LOOPFREE, _BIPARTITE, lambda dp: est.loopfree_probability(dp)),
+    "bipartite": (_BIPARTITE, None, lambda dp: est.estimate_bipartite(dp)),
+    "loopfree": (_LOOPFREE, None, lambda dp: est.estimate_loopfree_digraphs(dp)),
+    "oriented": (_ORIENTED, None, lambda dp: est.estimate_oriented(dp)),
+    "avoiding": (
+        lambda dp, budget_s: oracles.count_bipartite(
+            dp, _diagonal(dp), budget_s=budget_s
+        ),
+        None,
+        lambda dp: est.estimate_bipartite_avoiding(dp, _diagonal(dp)),
+    ),
+    "twocycleprob": (
+        _ORIENTED, _LOOPFREE, lambda dp: est.twocycle_free_probability(dp)
+    ),
+    "undirected": (
+        lambda d, budget_s: len(_realisations(d, budget_s)),
+        None,
+        lambda d: est.estimate_undirected(d),
+    ),
+    "eulerian-expect": (
+        _eulerian_mean, None, lambda d: est.expected_orientations(d, (0,) * len(d))
+    ),
+}
 
 
 def _instance_record(job: dict) -> dict:
@@ -394,94 +415,39 @@ def _instance_record(job: dict) -> dict:
     grid points in parallel; records come back in instance order regardless
     of completion order.
     """
-    family = job["family"]
-    context = job["context"]
-    n = job["n"]
-    d = job["d"]
-    budget_s = job["budget_s"]
-    instance = {
-        "index": job["index"],
-        "family": family,
-        "context": context,
-        "n": n,
-    }
+    family, context, n, d = job["family"], job["context"], job["n"], job["d"]
+    instance = {"index": job["index"], "family": family, "context": context, "n": n}
     if d is not None:
         instance["d"] = d
     record: dict = {"instance": instance}
+    count, denominator, estimator = CONTEXTS[context]
     try:
-        dp, dvec = _family_degree(family, n, d)
-        if context in DIGRAPH_CONTEXTS:
-            if dp is None:
-                raise UsageError(
-                    f"context {context!r} needs a digraph family"
-                )
-            if context == "loopprob":
-                exact = Fraction(
-                    oracles.count_loopfree(dp, budget_s=budget_s),
-                    oracles.count_bipartite(dp, budget_s=budget_s),
-                )
-                estimate = est.loopfree_probability(dp)
-            elif context == "bipartite":
-                exact = oracles.count_bipartite(dp, budget_s=budget_s)
-                estimate = est.estimate_bipartite(dp)
-            elif context == "loopfree":
-                exact = oracles.count_loopfree(dp, budget_s=budget_s)
-                estimate = est.estimate_loopfree_digraphs(dp)
-            elif context == "oriented":
-                exact = oracles.count_oriented(dp, budget_s=budget_s)
-                estimate = est.estimate_oriented(dp)
-            elif context == "twocycleprob":
-                exact = Fraction(
-                    oracles.count_oriented(dp, budget_s=budget_s),
-                    oracles.count_loopfree(dp, budget_s=budget_s),
-                )
-                estimate = est.twocycle_free_probability(dp)
-            else:
-                diag = ForbiddenGraph.diagonal(dp.n)
-                exact = oracles.count_bipartite(dp, diag, budget_s=budget_s)
-                estimate = est.estimate_bipartite_avoiding(dp, diag)
-        elif context in UNDIRECTED_CONTEXTS:
-            if dvec is None:
-                raise UsageError(
-                    f"context {context!r} needs an undirected family"
-                )
-            graphs = oracles.enumerate_undirected(dvec, budget_sum=budget_s)
-            if not graphs:
-                raise UsageError("no simple graph realises this instance")
-            if context == "undirected":
-                exact = len(graphs)
-                estimate = est.estimate_undirected(dvec)
-            else:
-                counts = [
-                    oracles.count_eulerian_orientations(len(dvec), g)
-                    for g in graphs
-                ]
-                exact = Fraction(sum(counts), len(counts))
-                estimate = est.expected_orientations(dvec, (0,) * len(dvec))
-        else:
-            raise UsageError(f"unknown context {context!r}")
-    except BudgetError as exc:
-        record["error"] = str(exc)
-        record["error_kind"] = "budget"
-        return record
+        if d is None:
+            raise UsageError(f"family {family} needs --d")
+        degrees = (d,) * n if FAMILIES[family][2] else DegreePair.regular(n, d)
+        exact = count(degrees, job["budget_s"])
+        if denominator is not None:
+            total = denominator(degrees, job["budget_s"])
+            if total == 0:
+                raise UsageError("undefined probability: the denominator count is 0")
+            exact = Fraction(exact, total)
+        estimate = estimator(degrees)
     except (CensusError, UsageError) as exc:
         record["error"] = str(exc)
-        record["error_kind"] = "usage"
+        record["error_kind"] = "budget" if isinstance(exc, BudgetError) else "usage"
         return record
 
     record["exact"] = _exact_str(exact)
     record["estimate"] = estimate.to_json()
     record["error_magnitude"] = estimate.error_magnitude
-    if (isinstance(exact, Fraction) and exact > 0) or (
-        not isinstance(exact, Fraction) and exact > 0
-    ):
-        record["log_ratio"] = _log_exact(exact) - estimate.log_value
-    else:
-        record["log_ratio"] = None
+    record["log_ratio"] = (
+        math.log(exact.numerator) - math.log(exact.denominator) - estimate.log_value
+        if exact > 0
+        else None
+    )
     if job["tol"] is not None and record["log_ratio"] is not None:
-        tol_value = _eval_tol(
-            job["tol"], n=n, S=(dp.total if dp else sum(dvec)), d=d
-        )
+        # every family is regular, so S = n * d
+        tol_value = _eval_tol(job["tol"], n=n, S=n * d, d=d)
         record["tolerance"] = tol_value
         record["within_budget"] = abs(record["log_ratio"]) <= tol_value
     else:
@@ -489,147 +455,103 @@ def _instance_record(job: dict) -> dict:
     return record
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"range must look like A:B, got {text!r}")
     lo, hi = (_int_arg(p, "range bound") for p in parts)
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _grid_jobs(args) -> list[dict]:
     family = args.family
-    context = args.context or DEFAULT_CONTEXT[family]
-    if family == "two-regular-undirected":
-        allowed = UNDIRECTED_CONTEXTS
-    else:
-        allowed = DIGRAPH_CONTEXTS
+    default_context, fixed_d, undirected = FAMILIES[family]
+    context = args.context or default_context
+    allowed = tuple(c for c in CONTEXTS if (c in UNDIRECTED_CONTEXTS) == undirected)
     if context not in allowed:
         raise UsageError(
             f"context {context!r} is not valid for family {family!r}; "
             f"choose from {allowed}"
         )
-    jobs = []
     if args.n_range:
-        lo, hi = _parse_range(args.n_range)
-        grid = [("n", v) for v in range(lo, hi + 1)]
+        points = [(n, args.d) for n in _parse_range(args.n_range)]
     elif args.d_range:
         if args.n is None:
             raise UsageError("--d-range needs a fixed -n")
-        lo, hi = _parse_range(args.d_range)
-        grid = [("d", v) for v in range(lo, hi + 1)]
+        ds = _parse_range(args.d_range)
+        n = _int_arg(args.n, "-n")
+        points = [(n, d) for d in ds]
     else:
         raise UsageError("need --n-range or --d-range")
-    for idx, (axis, value) in enumerate(grid):
-        n = value if axis == "n" else _int_arg(args.n, "-n")
-        d = args.d if axis == "n" else value
-        if family == "one-regular":
-            d = 1
-        elif family == "two-regular-undirected":
-            d = 2
-        jobs.append(
-            {
-                "index": idx,
-                "family": family,
-                "context": context,
-                "n": n,
-                "d": d,
-                "budget_s": args.budget_S,
-                "tol": args.tol,
-            }
-        )
-    return jobs
+    return [
+        {
+            "index": idx,
+            "family": family,
+            "context": context,
+            "n": n,
+            "d": d if fixed_d is None else fixed_d,
+            "budget_s": args.budget_S,
+            "tol": args.tol,
+        }
+        for idx, (n, d) in enumerate(points)
+    ]
 
 
-def _emit_records(records: list[dict], args, header: dict) -> None:
-    if args.format == "csv":
-        _emit(header)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(
-            [
-                "index",
-                "family",
-                "context",
-                "n",
-                "d",
-                "exact",
-                "log_value",
-                "log_ratio",
-                "error_magnitude",
-                "within_budget",
-                "error",
-            ]
-        )
-        for rec in records:
-            inst = rec["instance"]
-            estimate = rec.get("estimate") or {}
-            writer.writerow(
-                [
-                    inst["index"],
-                    inst["family"],
-                    inst["context"],
-                    inst["n"],
-                    inst.get("d", ""),
-                    rec.get("exact", ""),
-                    estimate.get("log_value", ""),
-                    rec.get("log_ratio", ""),
-                    rec.get("error_magnitude", ""),
-                    rec.get("within_budget", ""),
-                    rec.get("error", ""),
-                ]
-            )
-        return
-    _emit(header)
-    for rec in records:
-        _emit(rec)
+# the --format csv columns: (name, getter on a record)
+CSV_COLUMNS = (
+    ("index", lambda r: r["instance"]["index"]),
+    ("family", lambda r: r["instance"]["family"]),
+    ("context", lambda r: r["instance"]["context"]),
+    ("n", lambda r: r["instance"]["n"]),
+    ("d", lambda r: r["instance"].get("d", "")),
+    ("exact", lambda r: r.get("exact", "")),
+    ("log_value", lambda r: (r.get("estimate") or {}).get("log_value", "")),
+    ("log_ratio", lambda r: r.get("log_ratio", "")),
+    ("error_magnitude", lambda r: r.get("error_magnitude", "")),
+    ("within_budget", lambda r: r.get("within_budget", "")),
+    ("error", lambda r: r.get("error", "")),
+)
 
 
-def _run_grid(args) -> tuple[list[dict], int]:
+def _record_code(record: dict) -> int:
+    kind = record.get("error_kind")
+    if kind is not None:
+        return EXIT_BUDGET if kind == "budget" else EXIT_USAGE
+    return EXIT_OK if record["within_budget"] else EXIT_TOL
+
+
+def cmd_grid(args) -> int:
+    """compare and sweep; sweep adds a trend line after the records."""
     jobs = _grid_jobs(args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             records = list(pool.map(_instance_record, jobs))
     else:
         records = [_instance_record(job) for job in jobs]
-    exit_code = EXIT_OK
-    if any(r.get("error_kind") == "usage" for r in records):
-        exit_code = EXIT_USAGE
-    if any(not r.get("within_budget", True) for r in records):
-        exit_code = EXIT_TOL
-    if any(r.get("error_kind") == "budget" for r in records):
-        exit_code = EXIT_BUDGET
-    return records, exit_code
-
-
-def cmd_compare(args) -> int:
-    records, exit_code = _run_grid(args)
-    header = {"command": "compare", "config": _echo(args)}
-    header.update(_timestamp_field(args))
-    _emit_records(records, args, header)
-    return exit_code
-
-
-def cmd_sweep(args) -> int:
-    records, exit_code = _run_grid(args)
-    header = {"command": "sweep", "config": _echo(args)}
-    header.update(_timestamp_field(args))
-    _emit_records(records, args, header)
-    ratios = [
-        abs(r["log_ratio"])
-        for r in records
-        if r.get("log_ratio") is not None
-    ]
-    trend = {
-        "monotone_nonincreasing": all(
-            b <= a + 1e-12 for a, b in zip(ratios, ratios[1:])
-        ),
-        "decreased_overall": bool(ratios) and ratios[-1] <= ratios[0],
-        "abs_log_ratios": ratios,
-    }
-    _emit({"trend": trend})
-    return exit_code
+    _emit(_header(args))
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow([name for name, _ in CSV_COLUMNS])
+        for rec in records:
+            writer.writerow([get(rec) for _, get in CSV_COLUMNS])
+    else:
+        for rec in records:
+            _emit(rec)
+    if args.subcommand == "sweep":
+        ratios = [
+            abs(r["log_ratio"]) for r in records if r.get("log_ratio") is not None
+        ]
+        trend = {
+            "monotone_nonincreasing": all(
+                b <= a + 1e-12 for a, b in zip(ratios, ratios[1:])
+            ),
+            "decreased_overall": bool(ratios) and ratios[-1] <= ratios[0],
+            "abs_log_ratios": ratios,
+        }
+        _emit({"trend": trend})
+    return max(map(_record_code, records), default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +559,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
+def cmd_sample(args) -> int:
+    cfg = SamplerConfig(
         seed=args.seed,
         method=args.method,
         burn_in=args.burn_in,
@@ -646,39 +568,22 @@ def _sampler_config(args) -> SamplerConfig:
         max_rejections=args.max_rejections,
         streams=args.streams,
     )
-
-
-def cmd_sample(args) -> int:
-    cfg = _sampler_config(args)
+    out = _header(args)
     if args.orient_expect:
         if args.d is None:
             raise UsageError("--orient-expect needs -d")
         d = _vec(args.d, "-d")
-        delta = (
-            _vec(args.delta, "--delta")
-            if args.delta is not None
-            else (0,) * len(d)
-        )
-        result = estimate_expected_orientation_count(d, delta, cfg)
-        out = {"command": "sample", "config": _echo(args)}
-        out.update(_timestamp_field(args))
-        out["estimate"] = result.to_json()
-        _emit(out)
-        return EXIT_OK
-    dp = _degree_pair(args)
-    if args.event:
-        x = _forbidden(args, dp)
-        result = estimate_event_probability(dp, cfg, args.event, x)
-        out = {"command": "sample", "config": _echo(args)}
-        out.update(_timestamp_field(args))
-        out["estimate"] = result.to_json()
-        _emit(out)
-        return EXIT_OK
-    header = {"command": "sample", "config": _echo(args)}
-    header.update(_timestamp_field(args))
-    _emit(header)
-    for g in iter_bipartite_samples(dp, cfg):
-        _emit(g.to_json())
+        result = estimate_expected_orientation_count(d, _delta(args, len(d)), cfg)
+    else:
+        dp = _degree_pair(args)
+        if not args.event:
+            _emit(out)
+            for g in iter_bipartite_samples(dp, cfg):
+                _emit(g.to_json())
+            return EXIT_OK
+        result = estimate_event_probability(dp, cfg, args.event, _forbidden(args, dp))
+    out["estimate"] = result.to_json()
+    _emit(out)
     return EXIT_OK
 
 
@@ -689,8 +594,7 @@ def cmd_sample(args) -> int:
 
 def cmd_switch_verify(args) -> int:
     dp = _degree_pair(args)
-    out = {"command": "switch-verify", "config": _echo(args)}
-    out.update(_timestamp_field(args))
+    out = _header(args)
     if args.twocycle:
         report = verify_twocycle_identity(dp, args.q, budget_s=args.budget_S)
     else:
@@ -711,13 +615,7 @@ def cmd_switch_verify(args) -> int:
 
 def _echo(args) -> dict:
     """Full resolved configuration of the invocation, for the output header."""
-    skip = {"func"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -741,6 +639,13 @@ def _add_degree_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", type=str, default=None)
 
 
+def _add_mode_flags(parser: argparse.ArgumentParser, modes) -> None:
+    for mode in modes:
+        parser.add_argument(
+            f"--{mode.replace('_', '-')}", dest=mode, action="store_true"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degcensus",
@@ -754,33 +659,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="asymptotic estimates")
     _add_common(p_est)
     _add_degree_inputs(p_est)
-    for mode in ESTIMATE_MODES:
-        p_est.add_argument(
-            f"--{mode.replace('_', '-')}", dest=mode, action="store_true"
-        )
+    _add_mode_flags(p_est, ESTIMATES)
     p_est.set_defaults(func=cmd_estimate)
 
     p_exact = sub.add_parser("exact", help="exact oracle counts")
     _add_common(p_exact)
     _add_degree_inputs(p_exact)
-    for flag in (
-        "bipartite",
-        "loopfree",
-        "oriented",
-        "undirected-count",
-        "eulerian",
-        "orientations",
-        "expected-permanent",
-        "complement",
-        "stratified",
-    ):
-        p_exact.add_argument(
-            f"--{flag}", dest=flag.replace("-", "_"), action="store_true"
-        )
+    # --permanent is the one mode flag that takes a value: the matrix file
+    _add_mode_flags(p_exact, [m for m in EXACT_MODES if m != "permanent"])
+    p_exact.add_argument("--stratified", action="store_true")
     p_exact.add_argument("--permanent", type=str, default=None)
     p_exact.set_defaults(func=cmd_exact)
 
-    for name, handler in (("compare", cmd_compare), ("sweep", cmd_sweep)):
+    for name in ("compare", "sweep"):
         p = sub.add_parser(name, help=f"{name} estimates against oracles")
         _add_common(p)
         p.add_argument("--family", choices=FAMILIES, required=True)
@@ -789,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-range", dest="d_range", type=str, default=None)
         p.add_argument("--d", type=int, default=None)
         p.add_argument("-n", type=str, default=None)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_grid)
 
     p_sample = sub.add_parser("sample", help="seeded random sampling")
     _add_common(p_sample)

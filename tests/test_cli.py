@@ -3,13 +3,145 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from degcensus import cli, estimate_bipartite, DegreePair
+from degcensus import estimators as est
+from degcensus import oracles
 from degcensus.cli import main
+from degcensus.core import BipartiteGraph, ForbiddenGraph
 from degcensus.switching import SwitchCountReport
+
+# a square pair with two forbidden cells, and an even-degree vector
+PAIR_S, PAIR_T = (2, 2, 1, 1), (1, 2, 2, 1)
+CELLS = [[0, 1], [2, 3]]
+EVEN_D, DELTA = (2, 2, 4, 2, 2), (1, 0, 0, -1, 0)
+
+
+def _vec(values):
+    return ",".join(map(str, values))
+
+
+def _pair_argv(x_file):
+    return ["-s", _vec(PAIR_S), "-t", _vec(PAIR_T), "--x", str(x_file)]
+
+
+def _plain_pair_argv(x_file):
+    return ["-s", _vec(PAIR_S), "-t", _vec(PAIR_T)]
+
+
+def _lib_pair(fn, with_x=False):
+    dp = DegreePair(PAIR_S, PAIR_T)
+    if with_x:
+        return lambda: fn(dp, ForbiddenGraph(4, 4, [tuple(c) for c in CELLS]))
+    return lambda: fn(dp)
+
+
+# estimate mode -> (input argv given the --x file, the library call)
+ESTIMATE_CASES = {
+    "bipartite": (_plain_pair_argv, _lib_pair(est.estimate_bipartite)),
+    "bipartite_avoiding": (
+        _pair_argv, _lib_pair(est.estimate_bipartite_avoiding, True)
+    ),
+    "avoidance": (_pair_argv, _lib_pair(est.avoidance_factor, True)),
+    "subgraph": (_pair_argv, _lib_pair(est.subgraph_probability, True)),
+    "loopprob": (_plain_pair_argv, _lib_pair(est.loopfree_probability)),
+    "loopfree": (_plain_pair_argv, _lib_pair(est.estimate_loopfree_digraphs)),
+    "loopfree_avoiding": (
+        _pair_argv, _lib_pair(est.estimate_loopfree_avoiding, True)
+    ),
+    "twocycle_free": (_plain_pair_argv, _lib_pair(est.twocycle_free_probability)),
+    "oriented": (_plain_pair_argv, _lib_pair(est.estimate_oriented)),
+    "regular_digraph": (
+        lambda x: ["-n", "10", "-d", "3"],
+        lambda: est.estimate_loopfree_digraphs(DegreePair.regular(10, 3)),
+    ),
+    "undirected": (
+        lambda x: ["-d", _vec(EVEN_D)], lambda: est.estimate_undirected(EVEN_D)
+    ),
+    "eulerian_expect": (
+        lambda x: ["-d", _vec(EVEN_D), f"--delta={_vec(DELTA)}"],
+        lambda: est.expected_orientations(EVEN_D, DELTA),
+    ),
+    "orient_expect": (
+        lambda x: ["-d", _vec(EVEN_D)],
+        lambda: est.expected_orientations(EVEN_D, (0,) * len(EVEN_D)),
+    ),
+    "pauling": (
+        lambda x: ["-d", _vec(EVEN_D)],
+        lambda: est.pauling_and_residual_entropy(EVEN_D),
+    ),
+    "perm_sparse": (_plain_pair_argv, _lib_pair(est.expected_permanent_sparse)),
+    "perm_dense": (_plain_pair_argv, _lib_pair(est.expected_permanent_dense)),
+    "perm_regular": (
+        lambda x: ["-n", "10", "-d", "3"],
+        lambda: est.expected_permanent_regular(10, 3),
+    ),
+}
+
+K5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+C4 = [[0, 1], [1, 2], [2, 3], [0, 3]]
+DELTA_C4 = (1, 0, -1, 0)
+MATRIX = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+
+
+def _exact_cases(tmp_path):
+    """exact mode -> (argv, the payload the oracle gives)."""
+
+    def graph(name, n, edges):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        return ["--graph", str(path)]
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": MATRIX}))
+    dp = DegreePair((2, 2, 1), (1, 2, 2))
+    holes = BipartiteGraph(4, 4, [(i, i) for i in range(4)])
+    exact, window = est.permanent_complement_ie(holes.degree_pair(), holes)
+    mean_perm = oracles.exact_expected_permanent(DegreePair.regular(3, 2))
+    return {
+        "bipartite": (
+            ["-s", "2,2,1", "-t", "1,2,2"], {"exact": str(oracles.count_bipartite(dp))}
+        ),
+        "loopfree": (
+            ["-s", "2,2,1", "-t", "1,2,2"], {"exact": str(oracles.count_loopfree(dp))}
+        ),
+        "oriented": (
+            ["-s", "2,2,1", "-t", "1,2,2"], {"exact": str(oracles.count_oriented(dp))}
+        ),
+        "undirected_count": (
+            ["-d", "2,2,2,2,2"],
+            {"exact": str(len(oracles.enumerate_undirected((2,) * 5)))},
+        ),
+        "eulerian": (
+            graph("k5", 5, K5),
+            {"exact": str(oracles.count_eulerian_orientations(5, K5))},
+        ),
+        "orientations": (
+            graph("c4", 4, C4) + ["--delta", _vec(DELTA_C4)],
+            {"exact": str(oracles.count_orientations_with_degrees(4, C4, DELTA_C4))},
+        ),
+        "expected_permanent": (
+            ["-s", "2,2,2", "-t", "2,2,2"],
+            {"exact": f"{mean_perm.numerator}/{mean_perm.denominator}"},
+        ),
+        "complement": (
+            graph("holes", 4, [[i, i] for i in range(4)]),
+            {"exact": str(exact), "window": list(window)},
+        ),
+        "permanent": (
+            [str(matrix)], {"exact": str(oracles.ryser_permanent(MATRIX))}
+        ),
+    }
+
+
+DIGRAPH_GRID_CONTEXTS = (
+    "loopprob", "bipartite", "loopfree", "oriented", "avoiding", "twocycleprob",
+)
+UNDIRECTED_GRID_CONTEXTS = ("undirected", "eulerian-expect")
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +222,25 @@ class TestEstimateCommand:
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("mode", sorted(ESTIMATE_CASES))
+    def test_every_mode_matches_library(self, capsys, tmp_path, mode):
+        x_file = tmp_path / "x.json"
+        x_file.write_text(json.dumps({"edges": CELLS}))
+        inputs, library = ESTIMATE_CASES[mode]
+        (payload,) = run_json(
+            capsys,
+            "estimate", f"--{mode.replace('_', '-')}", *inputs(x_file),
+            "--no-timestamp",
+        )
+        want = library()
+        if mode == "pauling":
+            assert payload["residual_entropy"] == dict(
+                zip(("pauling", "sharpened"), want)
+            )
+        else:
+            assert payload["estimate"] == json.loads(json.dumps(want.to_json()))
+            assert payload["assumptions"]["context"] == want.context
 
     def test_mode_flag_required(self, capsys):
         code, _, err = run_cli(
@@ -180,6 +331,37 @@ class TestExactCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            "bipartite", "loopfree", "oriented", "undirected_count", "eulerian",
+            "orientations", "expected_permanent", "complement", "permanent",
+        ],
+    )
+    def test_every_mode_matches_oracle(self, capsys, tmp_path, mode):
+        argv, want = _exact_cases(tmp_path)[mode]
+        (payload,) = run_json(
+            capsys, "exact", f"--{mode.replace('_', '-')}", *argv, "--no-timestamp"
+        )
+        assert {k: payload[k] for k in want} == want
+        assert set(payload) == {"command", "config", *want}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--bipartite", "--loopfree"),
+            ("--bipartite", "--stratified", "--oriented", "--x-diagonal"),
+            ("--loopfree", "--expected-permanent"),
+        ],
+    )
+    def test_two_modes_rejected(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "exact", "-s", "1,1", "-t", "1,1", *flags, "--no-timestamp"
+        )
+        assert code == 2
+        assert out == ""
+        assert "pick exactly one exact mode flag" in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -223,6 +405,58 @@ class TestCompareCommand:
         records = [json.loads(line) for line in out.strip().splitlines()][1:]
         assert all(r["tolerance"] == 5 / r["instance"]["n"] for r in records)
 
+    def test_tolerance_grammar_values(self):
+        n, s_total, d = 4, 12, 3
+        for expr, want in (
+            ("5/n", 5 / n),
+            ("0.5/sqrt(S)", 0.5 / math.sqrt(s_total)),
+            ("1/(10**6 * n)", 1 / (10**6 * n)),
+            ("-n + +S - d*2", -n + s_total - d * 2),
+            ("2**-1 + exp(log(d))", 2**-1 + math.exp(math.log(d))),
+            ("1e400", math.inf),
+        ):
+            assert cli._eval_tol(expr, n=n, S=s_total, d=d) == want, expr
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "().__class__.__base__.__subclasses__().__len__()",
+            "9**9**9",
+            "n.real",
+            "[1][0]",
+            "2 if n else 1",
+            "log(n, 2)",
+            "log(x=n)",
+            "abs(n)",
+            "n // 2",
+            "n % 3",
+            "sqrt",
+            "True",
+            "1j",
+            "'5'",
+            "lambda: 1",
+            "q",
+            "1/0",
+            "sqrt(-1)",
+            "(-8) ** (1/3)",
+            "exp(1000)",
+            pytest.param("-" * 5000 + "1", id="deep-unary-minus"),
+            "",
+        ],
+    )
+    def test_tolerance_outside_grammar_is_usage(self, capsys, expr):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "compare", "--family", "one-regular", "--context", "loopprob",
+            "--n-range", "3:4", f"--tol={expr}", "--no-timestamp",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot evaluate tolerance")
+        assert "Traceback" not in err
+
     def test_budget_exit_code_dominates(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -253,6 +487,53 @@ class TestCompareCommand:
             "--context", "loopprob", "--n-range", "4:5", "--no-timestamp",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "family", ["one-regular", "d-regular-digraph", "d-regular-oriented",
+                   "two-regular-undirected"],
+    )
+    @pytest.mark.parametrize(
+        "context", DIGRAPH_GRID_CONTEXTS + UNDIRECTED_GRID_CONTEXTS
+    )
+    def test_family_context_pairings(self, capsys, family, context):
+        code, out, err = run_cli(
+            capsys,
+            "compare", "--family", family, "--context", context, "--d", "2",
+            "--n-range", "3:4", "--no-timestamp",
+        )
+        undirected = family == "two-regular-undirected"
+        if undirected == (context in UNDIRECTED_GRID_CONTEXTS):
+            assert code in (0, 1), err
+            header, *records = [json.loads(line) for line in out.splitlines()]
+            assert header["command"] == "compare"
+            assert [r["instance"]["context"] for r in records] == [context] * 2
+            assert not any("error" in r for r in records)
+        else:
+            assert code == 2
+            assert out == ""
+            assert f"context {context!r} is not valid for family" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "d-regular-digraph", "--context", "loopprob", "--d", "3",
+             "--n-range", "2:3"),
+            ("--family", "one-regular", "--context", "twocycleprob",
+             "--n-range", "1:2"),
+            ("--family", "d-regular-digraph", "--context", "twocycleprob",
+             "--d", "3", "--n-range", "3:6"),
+        ],
+    )
+    def test_zero_denominator_is_a_usage_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compare", *argv, "--no-timestamp")
+        assert err == ""
+        # records where the probability is exactly 0 fail their tolerance,
+        # and a usage record beats a tolerance failure
+        assert code == 2
+        first = json.loads(out.splitlines()[1])
+        assert first["error_kind"] == "usage"
+        assert "undefined probability" in first["error"]
+        assert "exact" not in first
 
     def test_undirected_family(self, capsys):
         header, *records = run_json(
