@@ -16,7 +16,8 @@ hold the compare/sweep grids.
 Tolerances (--tol) are expressions in the per-instance variables n, S, d,
 e.g. "5/n" or "0.5/sqrt(S)".  Only numbers, those variables, binary
 + - * / **, unary - and +, and one-argument log/sqrt/exp calls are accepted,
-all evaluated in floats; anything else is a usage error.
+all evaluated in floats; anything else is a usage error.  The expression is
+evaluated at every grid point before any record is made.
 """
 
 from __future__ import annotations
@@ -446,10 +447,8 @@ def _instance_record(job: dict) -> dict:
         else None
     )
     if job["tol"] is not None and record["log_ratio"] is not None:
-        # every family is regular, so S = n * d
-        tol_value = _eval_tol(job["tol"], n=n, S=n * d, d=d)
-        record["tolerance"] = tol_value
-        record["within_budget"] = abs(record["log_ratio"]) <= tol_value
+        record["tolerance"] = job["tol"]
+        record["within_budget"] = abs(record["log_ratio"]) <= job["tol"]
     else:
         record["within_budget"] = record["log_ratio"] is not None
     return record
@@ -485,18 +484,27 @@ def _grid_jobs(args) -> list[dict]:
         points = [(n, d) for d in ds]
     else:
         raise UsageError("need --n-range or --d-range")
-    return [
-        {
-            "index": idx,
-            "family": family,
-            "context": context,
-            "n": n,
-            "d": d if fixed_d is None else fixed_d,
-            "budget_s": args.budget_S,
-            "tol": args.tol,
-        }
-        for idx, (n, d) in enumerate(points)
-    ]
+    jobs = []
+    for idx, (n, d) in enumerate(points):
+        d = d if fixed_d is None else fixed_d
+        tol = None
+        if args.tol is not None:
+            # every family is regular, so S = n * d; without --d every record
+            # is a usage error, and d = 1 only checks the expression
+            d_tol = 1 if d is None else d
+            tol = _eval_tol(args.tol, n=n, S=n * d_tol, d=d_tol)
+        jobs.append(
+            {
+                "index": idx,
+                "family": family,
+                "context": context,
+                "n": n,
+                "d": d,
+                "budget_s": args.budget_S,
+                "tol": tol,
+            }
+        )
+    return jobs
 
 
 # the --format csv columns: (name, getter on a record)

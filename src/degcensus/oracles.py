@@ -427,9 +427,10 @@ def count_partial_matchings(
     return p
 
 
-def _normalised_undirected_edges(
-    n: int, edges: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
+def _edges_and_degrees(
+    n: int, edges: Iterable[tuple[int, int]], budget_edges: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The sorted (i, j), i < j, edge list of a simple graph and its degrees."""
     out = set()
     for e in edges:
         i, j = e
@@ -438,47 +439,23 @@ def _normalised_undirected_edges(
         if i == j:
             raise DegreeSequenceError(f"undirected graph may not contain loop ({i}, {i})")
         out.add((min(i, j), max(i, j)))
-    return sorted(out)
-
-
-def count_orientations_with_degrees(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    delta: Sequence[int],
-    *,
-    budget_edges: int = 28,
-) -> int:
-    """Orientations of an undirected simple graph with out-degree d_v/2 + delta_v.
-
-    delta must be an integer vector and every target d_v/2 + delta_v must be
-    an integer, i.e. all degrees even; otherwise the target is rejected.
-    Out-of-range targets simply count zero.
-    """
-    edge_list = _normalised_undirected_edges(n, edges)
+    edge_list = sorted(out)
     _check_budget(len(edge_list), budget_edges, "edge count")
-    if len(delta) != n:
-        raise DegreeSequenceError("delta length must equal n")
-    for v in delta:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParityError(f"delta entries must be integers, got {v!r}")
     deg = [0] * n
     for i, j in edge_list:
         deg[i] += 1
         deg[j] += 1
-    for v in range(n):
-        if deg[v] % 2:
-            raise ParityError(
-                f"vertex {v} has odd degree {deg[v]}; target out-degree "
-                "d/2 + delta is not an integer"
-            )
-    # balance target: out_v - in_v must finish at 2 delta_v
-    target = [2 * dv for dv in delta]
-    for v in range(n):
-        if abs(target[v]) > deg[v]:
-            return 0
+    return edge_list, deg
 
-    remaining = deg[:]
-    balance = [0] * n
+
+def _count_orientations(
+    edge_list: Sequence[tuple[int, int]], deg: Sequence[int], target: Sequence[int]
+) -> int:
+    """Orientations of a normalised edge list where out_v - in_v = target_v."""
+    if any(abs(t) > dv for t, dv in zip(target, deg)):
+        return 0
+    remaining = list(deg)
+    balance = [0] * len(deg)
 
     def rec(k: int) -> int:
         if k == len(edge_list):
@@ -504,6 +481,35 @@ def count_orientations_with_degrees(
     return rec(0)
 
 
+def count_orientations_with_degrees(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    delta: Sequence[int],
+    *,
+    budget_edges: int = 28,
+) -> int:
+    """Orientations of an undirected simple graph with out-degree d_v/2 + delta_v.
+
+    delta must be an integer vector and every target d_v/2 + delta_v must be
+    an integer, i.e. all degrees even; otherwise the target is rejected.
+    Out-of-range targets simply count zero.
+    """
+    edge_list, deg = _edges_and_degrees(n, edges, budget_edges)
+    if len(delta) != n:
+        raise DegreeSequenceError("delta length must equal n")
+    for v in delta:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParityError(f"delta entries must be integers, got {v!r}")
+    for v in range(n):
+        if deg[v] % 2:
+            raise ParityError(
+                f"vertex {v} has odd degree {deg[v]}; target out-degree "
+                "d/2 + delta is not an integer"
+            )
+    # balance target: out_v - in_v must finish at 2 delta_v
+    return _count_orientations(edge_list, deg, [2 * dv for dv in delta])
+
+
 def count_eulerian_orientations(
     n: int, edges: Iterable[tuple[int, int]], *, budget_edges: int = 28
 ) -> int:
@@ -512,17 +518,10 @@ def count_eulerian_orientations(
     A vertex of odd degree admits none, so such graphs count zero rather
     than raising.
     """
-    edge_list = _normalised_undirected_edges(n, edges)
-    _check_budget(len(edge_list), budget_edges, "edge count")
-    deg = [0] * n
-    for i, j in edge_list:
-        deg[i] += 1
-        deg[j] += 1
+    edge_list, deg = _edges_and_degrees(n, edges, budget_edges)
     if any(d % 2 for d in deg):
         return 0
-    return count_orientations_with_degrees(
-        n, edge_list, [0] * n, budget_edges=budget_edges
-    )
+    return _count_orientations(edge_list, deg, [0] * n)
 
 
 def enumerate_undirected(

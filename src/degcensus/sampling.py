@@ -51,6 +51,13 @@ __all__ = [
 METHODS = ("auto", "configuration-rejection", "swap-chain")
 EVENT_NAMES = ("loop-free", "twocycle-free", "contains-x", "avoids-x")
 
+# Random numbers are drawn in blocks: at most this many chain steps' indices
+# at a time, and about this many stubs' worth of rejection permutations.
+# A block leaves the same numbers, in the same order, as one call per number,
+# so these sizes change the speed and the memory, never the samples.
+_CHAIN_CHUNK_STEPS = 1 << 16
+_PERMUTATION_BLOCK_STUBS = 4096
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -146,6 +153,21 @@ def _stream_quotas(samples: int, streams: int) -> list[int]:
     return [base + (1 if k < rem else 0) for k in range(streams)]
 
 
+def _shuffled_stubs(rng: np.random.Generator, stubs: np.ndarray) -> Iterator[list]:
+    """Yield stubs[rng.permutation(len(stubs))] as lists, one per attempt.
+
+    The permutations are drawn _PERMUTATION_BLOCK_STUBS stubs at a time with
+    rng.permuted, which shuffles the rows of a block one after another exactly
+    as successive rng.permutation calls would; rows left over at the end of a
+    stream are never used, and the stream's generator is dropped with them.
+    """
+    size = stubs.shape[0]
+    rows = max(1, _PERMUTATION_BLOCK_STUBS // max(size, 1))
+    block = np.tile(np.arange(size), (rows, 1))
+    while True:
+        yield from stubs[rng.permuted(block, axis=1)].tolist()
+
+
 def _rejection_stream(
     dp: DegreePair,
     rng: np.random.Generator,
@@ -153,14 +175,13 @@ def _rejection_stream(
     max_rejections: int,
     condition: Callable[[BipartiteGraph], bool] | None,
 ) -> Iterator[BipartiteGraph]:
-    # stub arrays are shared by every attempt; only the permutation is random
+    # the row stubs are fixed; each attempt pairs them with shuffled column stubs
     row_list = np.repeat(np.arange(dp.m), dp.s).tolist()
-    col_stubs = np.repeat(np.arange(dp.n), dp.t)
+    shuffled = _shuffled_stubs(rng, np.repeat(np.arange(dp.n), dp.t))
     total = dp.total
     for _ in range(quota):
         for _attempt in range(max_rejections):
-            cols = col_stubs[rng.permutation(total)]
-            edges = set(zip(row_list, cols.tolist()))
+            edges = set(zip(row_list, next(shuffled)))
             if len(edges) != total:
                 continue
             g = BipartiteGraph(dp.m, dp.n, edges)
@@ -202,12 +223,17 @@ def _swap_chain_stream(
 ) -> Iterator[BipartiteGraph]:
     """Two-edge exchange walk, thinned by the burn-in interval.
 
-    A step picks two distinct edge slots; the proposal swaps their column
-    endpoints and is rejected when the edges share a row or column or when a
-    replacement edge already exists.  Rejected proposals still advance the
-    step counter (lazy chain), keeping the walk aperiodic.  An explicit
-    burn_in of 0 skips the initial walk but successive samples are still
-    separated by at least one step.
+    A step picks two edge slots k1, k2 (two uniform draws); the proposal
+    swaps their column endpoints and is rejected when k1 == k2, when the
+    edges share a row or column, or when a replacement edge already exists.
+    Rejected proposals still advance the step counter (lazy chain), keeping
+    the walk aperiodic.  An explicit burn_in of 0 skips the initial walk but
+    successive samples are still separated by at least one step.
+
+    The slot indices are drawn in chunks of at most _CHAIN_CHUNK_STEPS steps
+    (2 draws per step, in step order), so memory stays flat whatever the
+    burn-in.  With fewer than two edges no swap exists: the chain stays at
+    the greedy realisation and draws nothing.
     """
     g = _greedy_realisation(dp)
     edges = list(g.sorted_edges())
@@ -215,24 +241,28 @@ def _swap_chain_stream(
     s_count = len(edges)
 
     def advance(steps: int) -> None:
-        for _ in range(steps):
-            k1 = int(rng.integers(s_count))
-            k2 = int(rng.integers(s_count))
-            if k1 == k2:
-                continue
-            u1, v1 = edges[k1]
-            u2, v2 = edges[k2]
-            if u1 == u2 or v1 == v2:
-                continue
-            e1, e2 = (u1, v2), (u2, v1)
-            if e1 in edge_set or e2 in edge_set:
-                continue
-            edge_set.discard((u1, v1))
-            edge_set.discard((u2, v2))
-            edge_set.add(e1)
-            edge_set.add(e2)
-            edges[k1] = e1
-            edges[k2] = e2
+        if s_count < 2:
+            return
+        while steps > 0:
+            chunk = min(steps, _CHAIN_CHUNK_STEPS)
+            steps -= chunk
+            picks = iter(rng.integers(s_count, size=2 * chunk).tolist())
+            for k1, k2 in zip(picks, picks):
+                if k1 == k2:
+                    continue
+                u1, v1 = edges[k1]
+                u2, v2 = edges[k2]
+                if u1 == u2 or v1 == v2:
+                    continue
+                e1, e2 = (u1, v2), (u2, v1)
+                if e1 in edge_set or e2 in edge_set:
+                    continue
+                edge_set.discard((u1, v1))
+                edge_set.discard((u2, v2))
+                edge_set.add(e1)
+                edge_set.add(e2)
+                edges[k1] = e1
+                edges[k2] = e2
 
     interval = max(burn_in, 1)
     advance(burn_in)
@@ -294,15 +324,10 @@ def sample_bipartite(dp: DegreePair, cfg: SamplerConfig) -> BipartiteGraph:
     return next(iter_bipartite_samples(dp, cfg))
 
 
-def _undirected_edges_once(
-    n: int,
-    stubs: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[tuple[int, int], ...] | None:
-    perm = rng.permutation(stubs.shape[0])
-    paired = stubs[perm].reshape(-1, 2)
+def _undirected_edges(stubs: list[int]) -> tuple[tuple[int, int], ...] | None:
+    """Pair shuffled stubs two by two; None on a loop or a repeated pair."""
     edges = set()
-    for u, v in paired.tolist():
+    for u, v in zip(stubs[0::2], stubs[1::2]):
         if u == v:
             return None
         key = (u, v) if u < v else (v, u)
@@ -334,9 +359,10 @@ def sample_undirected(
     quotas = _stream_quotas(cfg.samples, cfg.streams)
     out: list[tuple[tuple[int, int], ...]] = []
     for rng, quota in zip(rngs, quotas):
+        shuffled = _shuffled_stubs(rng, stubs)
         for _ in range(quota):
             for _attempt in range(cfg.max_rejections):
-                edges = _undirected_edges_once(len(degs), stubs, rng)
+                edges = _undirected_edges(next(shuffled))
                 if edges is not None:
                     out.append(edges)
                     break

@@ -457,6 +457,18 @@ class TestCompareCommand:
         assert err.startswith("error: cannot evaluate tolerance")
         assert "Traceback" not in err
 
+    def test_bad_tolerance_is_reported_when_no_record_reaches_it(self, capsys):
+        # without --d every record is a usage error; the tolerance is still
+        # checked, once, before any record is made
+        code, out, err = run_cli(
+            capsys,
+            "compare", "--family", "d-regular-digraph", "--n-range", "3:4",
+            "--tol", "sqrt", "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot evaluate tolerance 'sqrt'")
+
     def test_budget_exit_code_dominates(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -619,6 +631,21 @@ class TestSampleCommand:
         )
         assert code == 2
         assert "not realisable" in err
+
+    @pytest.mark.parametrize(
+        "s, t, edges", [("0,0", "0,0", []), ("1,0", "0,1", [[0, 1]])]
+    )
+    def test_swap_chain_below_two_edges(self, capsys, s, t, edges):
+        # no swap exists: every sample is the one realisation
+        code, out, err = run_cli(
+            capsys,
+            "sample", "-s", s, "-t", t, "--method", "swap-chain",
+            "--samples", "3", "--seed", "1", "--no-timestamp",
+        )
+        assert code == 0 and "Traceback" not in err
+        header, *graphs = (json.loads(line) for line in out.splitlines())
+        assert header["command"] == "sample"
+        assert graphs == [{"edges": edges}] * 3
 
 
 class TestSwitchVerifyCommand:

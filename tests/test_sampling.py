@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from degcensus import sampling
 from degcensus import (
+    BipartiteGraph,
     BudgetError,
     DegreePair,
     DegreeSequenceError,
@@ -221,3 +224,236 @@ class TestOrientationCounting:
         )
         assert est.point == 2.0
         assert est.stderr == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The samplers as they were written before their draws were taken in blocks:
+# one rng.integers call per chain index and one rng.permutation call per
+# rejection attempt.  The library must reproduce their samples exactly.
+# ---------------------------------------------------------------------------
+
+
+def _reference_streams(cfg):
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.streams)
+    base, rem = divmod(cfg.samples, cfg.streams)
+    for k, child in enumerate(children):
+        yield np.random.Generator(np.random.Philox(child)), base + (k < rem)
+
+
+def _reference_rejection(dp, rng, quota, max_rejections, condition):
+    row_list = np.repeat(np.arange(dp.m), dp.s).tolist()
+    col_stubs = np.repeat(np.arange(dp.n), dp.t)
+    out = []
+    for _ in range(quota):
+        for _attempt in range(max_rejections):
+            cols = col_stubs[rng.permutation(dp.total)]
+            edges = set(zip(row_list, cols.tolist()))
+            if len(edges) != dp.total:
+                continue
+            g = BipartiteGraph(dp.m, dp.n, edges)
+            if condition is None or condition(g):
+                out.append(g)
+                break
+        else:
+            raise BudgetError("rejection budget exhausted")
+    return out
+
+
+def _reference_chain(dp, rng, quota, burn_in, max_rejections, condition):
+    edges = list(sampling._greedy_realisation(dp).sorted_edges())
+    edge_set = set(edges)
+    s_count = len(edges)
+
+    def advance(steps):
+        for _ in range(steps):
+            k1 = int(rng.integers(s_count))
+            k2 = int(rng.integers(s_count))
+            if k1 == k2:
+                continue
+            u1, v1 = edges[k1]
+            u2, v2 = edges[k2]
+            if u1 == u2 or v1 == v2:
+                continue
+            e1, e2 = (u1, v2), (u2, v1)
+            if e1 in edge_set or e2 in edge_set:
+                continue
+            edge_set.difference_update(((u1, v1), (u2, v2)))
+            edge_set.update((e1, e2))
+            edges[k1], edges[k2] = e1, e2
+
+    out = []
+    interval = max(burn_in, 1)
+    advance(burn_in)
+    for _ in range(quota):
+        for _attempt in range(max_rejections):
+            g = BipartiteGraph(dp.m, dp.n, edges)
+            if condition is None or condition(g):
+                out.append(g)
+                break
+            advance(interval)
+        else:
+            raise BudgetError("conditioning budget exhausted")
+        advance(interval)
+    return out
+
+
+def reference_bipartite_samples(dp, cfg, condition=None):
+    out = []
+    for rng, quota in _reference_streams(cfg):
+        if cfg.resolved_method(dp) == "configuration-rejection":
+            out += _reference_rejection(
+                dp, rng, quota, cfg.max_rejections, condition
+            )
+        else:
+            out += _reference_chain(
+                dp, rng, quota, cfg.resolved_burn_in(dp.total),
+                cfg.max_rejections, condition,
+            )
+    return out
+
+
+def reference_undirected(d, cfg):
+    stubs = np.repeat(np.arange(len(d)), d)
+    out = []
+    for rng, quota in _reference_streams(cfg):
+        for _ in range(quota):
+            for _attempt in range(cfg.max_rejections):
+                paired = stubs[rng.permutation(stubs.shape[0])].reshape(-1, 2)
+                edges = set()
+                for u, v in paired.tolist():
+                    key = (min(u, v), max(u, v))
+                    if u == v or key in edges:
+                        break
+                    edges.add(key)
+                else:
+                    out.append(tuple(sorted(edges)))
+                    break
+            else:
+                raise BudgetError("pairing budget exhausted")
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    """The samples as edge tuples, or "budget" when the budget ran out."""
+    try:
+        graphs = list(fn(*args, **kwargs))
+    except BudgetError:
+        return "budget"
+    return [g if isinstance(g, tuple) else g.sorted_edges() for g in graphs]
+
+
+SQUARE5 = DegreePair((2, 2, 1, 2, 1), (1, 2, 2, 1, 2))
+
+
+def loop_free(g):
+    return g.loop_count() == 0
+
+
+class TestSameSamplesAsOneDrawAtATime:
+    @pytest.mark.parametrize("method", ["configuration-rejection", "swap-chain"])
+    @pytest.mark.parametrize("burn_in", [None, 0, 1, 37])
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_bipartite_samples(self, method, burn_in, streams):
+        cfg = SamplerConfig(
+            seed=20 + streams, method=method, burn_in=burn_in, samples=7,
+            streams=streams,
+        )
+        want = _outcome(reference_bipartite_samples, SQUARE5, cfg)
+        assert want != "budget"
+        assert _outcome(iter_bipartite_samples, SQUARE5, cfg) == want
+
+    @pytest.mark.parametrize("method", ["configuration-rejection", "swap-chain"])
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_twocycle_free_conditioning(self, method, streams):
+        cfg = SamplerConfig(seed=5, method=method, samples=9, streams=streams)
+        want = _outcome(reference_bipartite_samples, SQUARE5, cfg, loop_free)
+        got = _outcome(iter_bipartite_samples, SQUARE5, cfg, condition=loop_free)
+        assert got == want
+        hits = [
+            g.twocycle_count() == 0
+            for g in reference_bipartite_samples(SQUARE5, cfg, loop_free)
+        ]
+        est = estimate_event_probability(SQUARE5, cfg, "twocycle-free")
+        assert est.point == np.mean(hits)
+
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_undirected_four_regular(self, streams):
+        cfg = SamplerConfig(seed=11, samples=8, streams=streams)
+        want = reference_undirected((4,) * 7, cfg)
+        assert sample_undirected((4,) * 7, cfg) == want
+
+    @pytest.mark.parametrize("method", ["configuration-rejection", "swap-chain"])
+    def test_budget_runs_out_at_the_same_attempt(self, method):
+        # the condition records every graph it is shown, so both sides must
+        # show the same graphs before giving up
+        dp = DegreePair.regular(4, 2)
+        for budget in (1, 2, 5, 13):
+            cfg = SamplerConfig(
+                seed=3, method=method, burn_in=5, max_rejections=budget
+            )
+            seen = {"ref": [], "lib": []}
+            for side, fn in (
+                ("ref", reference_bipartite_samples),
+                ("lib", iter_bipartite_samples),
+            ):
+                def refuse(g, log=seen[side]):
+                    log.append(g.sorted_edges())
+                    return False
+
+                kwargs = {"condition": refuse}
+                assert _outcome(fn, dp, cfg, **kwargs) == "budget"
+            assert seen["lib"] == seen["ref"]
+            # the chain shows every state; rejection only its simple attempts
+            assert len(seen["lib"]) == budget or method != "swap-chain"
+            assert 0 < len(seen["lib"]) <= budget
+
+    def test_dense_budgets_end_where_the_reference_ends(self):
+        # K_{3,3} and K_4 stub pairings are rarely simple; each budget must
+        # succeed or run out exactly as it did one draw at a time
+        outcomes = set()
+        for budget in range(1, 40, 3):
+            cfg = SamplerConfig(
+                seed=1, method="configuration-rejection", samples=2,
+                max_rejections=budget,
+            )
+            dp = DegreePair.regular(3, 3)
+            want = _outcome(reference_bipartite_samples, dp, cfg)
+            assert _outcome(iter_bipartite_samples, dp, cfg) == want
+            want_d = _outcome(reference_undirected, (3, 3, 3, 3), cfg)
+            assert _outcome(sample_undirected, (3, 3, 3, 3), cfg) == want_d
+            outcomes.update((want == "budget", want_d == "budget"))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("block_stubs", [3, 20])
+    def test_tiny_blocks(self, monkeypatch, block_stubs):
+        # chunk and block boundaries now fall inside every walk and sample
+        monkeypatch.setattr(sampling, "_CHAIN_CHUNK_STEPS", 3)
+        monkeypatch.setattr(sampling, "_PERMUTATION_BLOCK_STUBS", block_stubs)
+        for method in ("configuration-rejection", "swap-chain"):
+            for burn_in, streams in ((None, 1), (37, 3), (1, 1)):
+                cfg = SamplerConfig(
+                    seed=8, method=method, burn_in=burn_in, samples=5,
+                    streams=streams,
+                )
+                for condition in (None, loop_free):
+                    want = _outcome(
+                        reference_bipartite_samples, SQUARE5, cfg, condition
+                    )
+                    got = _outcome(
+                        iter_bipartite_samples, SQUARE5, cfg, condition=condition
+                    )
+                    assert got == want
+        cfg = SamplerConfig(seed=2, samples=6, streams=3)
+        assert sample_undirected((4,) * 7, cfg) == reference_undirected(
+            (4,) * 7, cfg
+        )
+
+
+class TestChainWithoutSwaps:
+    @pytest.mark.parametrize(
+        "dp", [DegreePair((0, 0), (0, 0)), DegreePair((1, 0), (0, 1))]
+    )
+    def test_fewer_than_two_edges_yield_the_only_graph(self, dp):
+        cfg = SamplerConfig(seed=1, method="swap-chain", samples=3)
+        graphs = [g.sorted_edges() for g in iter_bipartite_samples(dp, cfg)]
+        assert graphs == [sampling._greedy_realisation(dp).sorted_edges()] * 3

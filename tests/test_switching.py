@@ -100,6 +100,39 @@ def _reverse_applies(g, x, spec):
     return True
 
 
+def _disjoint_arc_tuples(arcs, used, size):
+    """Ordered tuples of `size` arcs whose endpoints avoid `used` and each other."""
+    if size == 0:
+        yield ()
+        return
+    for u, v in arcs:
+        if u not in used and v not in used:
+            for rest in _disjoint_arc_tuples(arcs, used | {u, v}, size - 1):
+                yield ((u, v),) + rest
+
+
+def brute_twocycle_switches(g):
+    """Unordered forward 2-cycle switches of g, by applying every candidate.
+
+    apply_twocycle_switch needs ten distinct vertices (the cycle's two and
+    the endpoints of the four aux arcs), so only aux tuples of pairwise
+    vertex-disjoint arcs that avoid the cycle can succeed; every such tuple
+    is applied and its success counted.  Ordered specs come in mirror pairs.
+    """
+    arcs = sorted(g.edges)
+    applied = 0
+    for i, j in g.twocycles():
+        for cyc in ((i, j), (j, i)):
+            for aux in _disjoint_arc_tuples(arcs, {i, j}, 4):
+                try:
+                    apply_twocycle_switch(g, TwoCycleSwitchSpec(cyc, aux))
+                    applied += 1
+                except SwitchConditionError:
+                    pass
+    assert applied % 2 == 0
+    return applied // 2
+
+
 class TestForwardSwitchSpec:
     def test_edge_roles(self):
         spec = ForwardSwitchSpec((0, 0), (((1, 1), (2, 2))))
@@ -261,23 +294,13 @@ class TestTwoCycleSwitch:
     @given(square_graphs(max_side=5, loop_free=True))
     @settings(max_examples=30, deadline=None)
     def test_forward_count_matches_apply_successes(self, g):
-        arcs = sorted(g.edges)
-        applied = 0
-        for i, j in g.twocycles():
-            for cyc in ((i, j), (j, i)):
-                pool = [
-                    e
-                    for e in arcs
-                    if e not in ((i, j), (j, i))
-                ]
-                for aux in itertools.permutations(pool, 4):
-                    try:
-                        apply_twocycle_switch(g, TwoCycleSwitchSpec(cyc, aux))
-                        applied += 1
-                    except SwitchConditionError:
-                        pass
-        assert applied % 2 == 0
-        assert count_twocycle_switches(g) == applied // 2
+        assert count_twocycle_switches(g) == brute_twocycle_switches(g)
+
+    @pytest.mark.parametrize("extra, count", [((), 24), (((0, 3),), 20)])
+    def test_forward_count_matches_apply_successes_on_rewire10(self, extra, count):
+        # with the arc (0, 3) added, some disjoint aux tuples fail to apply
+        g = BipartiteGraph(10, 10, sorted(REWIRE10.edges) + list(extra))
+        assert brute_twocycle_switches(g) == count_twocycle_switches(g) == count
 
 
 class TestTwoCycleIdentity:
