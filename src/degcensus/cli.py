@@ -273,8 +273,8 @@ def _exact_bipartite(args) -> dict:
 def _exact_undirected(args) -> dict:
     if args.d is None:
         raise UsageError("--undirected-count needs -d")
-    graphs = oracles.enumerate_undirected(_vec(args.d, "-d"), budget_sum=args.budget_S)
-    return {"exact": str(len(graphs))}
+    count = oracles.count_undirected(_vec(args.d, "-d"), budget_sum=args.budget_S)
+    return {"exact": str(count)}
 
 
 def _exact_permanent(args) -> dict:
@@ -356,17 +356,27 @@ FAMILIES = {
 UNDIRECTED_CONTEXTS = ("undirected", "eulerian-expect")
 
 
-def _realisations(d, budget_s: int) -> list:
-    graphs = oracles.enumerate_undirected(d, budget_sum=budget_s)
-    if not graphs:
+def _realised_count(d, budget_s: int) -> int:
+    count = oracles.count_undirected(d, budget_sum=budget_s)
+    if count == 0:
         raise UsageError("no simple graph realises this instance")
-    return graphs
+    return count
 
 
 def _eulerian_mean(d, budget_s: int) -> Fraction:
-    graphs = _realisations(d, budget_s)
-    counts = [oracles.count_eulerian_orientations(len(d), g) for g in graphs]
-    return Fraction(sum(counts), len(counts))
+    """Mean number of Eulerian orientations per graph with degrees d.
+
+    Those orientations, over all the graphs, are exactly the oriented graphs
+    with out- and in-degrees d/2.
+    """
+    graphs = _realised_count(d, budget_s)
+    if any(v % 2 for v in d):
+        return Fraction(0)  # an odd degree admits no Eulerian orientation
+    if not d:
+        return Fraction(1)  # the empty graph; a DegreePair needs a vertex
+    half = tuple(v // 2 for v in d)
+    orientations = oracles.count_oriented(DegreePair(half, half), budget_s=budget_s)
+    return Fraction(orientations, graphs)
 
 
 def _oracle(name: str):
@@ -398,11 +408,7 @@ CONTEXTS = {
     "twocycleprob": (
         _ORIENTED, _LOOPFREE, lambda dp: est.twocycle_free_probability(dp)
     ),
-    "undirected": (
-        lambda d, budget_s: len(_realisations(d, budget_s)),
-        None,
-        lambda d: est.estimate_undirected(d),
-    ),
+    "undirected": (_realised_count, None, lambda d: est.estimate_undirected(d)),
     "eulerian-expect": (
         _eulerian_mean, None, lambda d: est.expected_orientations(d, (0,) * len(d))
     ),

@@ -140,6 +140,11 @@ class DegreePair:
     def is_square(self) -> bool:
         return self.m == self.n
 
+    @cached_property
+    def _stats(self) -> "DerivedStats":
+        # the pair is immutable, so derive_stats computes once per pair
+        return _derive_stats(self)
+
     @classmethod
     def regular(cls, n: int, d: int) -> "DegreePair":
         return cls((d,) * n, (d,) * n)
@@ -218,7 +223,11 @@ class DerivedStats:
 
 
 def derive_stats(dp: DegreePair) -> DerivedStats:
-    """Compute every derived statistic of the pair in one pass."""
+    """Every derived statistic of the pair, computed on first use and kept."""
+    return dp._stats
+
+
+def _derive_stats(dp: DegreePair) -> DerivedStats:
     s, t = dp.s, dp.t
     base = dict(
         total=dp.total,

@@ -4,9 +4,9 @@ All results are exact Python integers or fractions.  Each function enforces
 a hard size budget and raises BudgetError beyond it; nothing here is meant
 to scale past validation instances.  Rows are processed in decreasing degree
 (ties by index).  The bipartite, stratified, loop-free and oriented counts
-share one margin recursion over column types (_margin_count);
-enumerate_bipartite generates neighbour sets in lexicographic column order,
-so its output order is deterministic.
+share one margin recursion over column types (_margin_count), whose steps
+the undirected count reuses; enumerate_bipartite generates neighbour sets in
+lexicographic column order, so its output order is deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "count_bipartite_stratified",
     "count_loopfree",
     "count_oriented",
+    "count_undirected",
     "enumerate_bipartite",
     "graph_to_matrix",
     "ryser_permanent",
@@ -43,7 +44,6 @@ __all__ = [
     "count_partial_matchings",
     "count_eulerian_orientations",
     "count_orientations_with_degrees",
-    "enumerate_undirected",
     "permutation_moment_oracle",
 ]
 
@@ -524,52 +524,36 @@ def count_eulerian_orientations(
     return _count_orientations(edge_list, deg, [0] * n)
 
 
-def enumerate_undirected(
-    d: Sequence[int], *, budget_sum: int = DEFAULT_EDGE_BUDGET
-) -> list[frozenset[tuple[int, int]]]:
-    """All simple undirected graphs with degree sequence d, as edge sets.
+def count_undirected(d: Sequence[int], *, budget_sum: int = DEFAULT_EDGE_BUDGET) -> int:
+    """Number of simple undirected graphs with degree sequence d.
 
-    Infeasible sequences return the empty list.  Each edge is stored as
-    (i, j) with i < j.
+    Infeasible sequences, odd sums among them, count zero.  The steps of
+    _margin_count on the multiset of residual degrees, as types (resid, 0,
+    -1): a vertex of largest residual leaves and spreads it over the rest.
     """
-    n = len(d)
     if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in d):
         raise DegreeSequenceError("degrees must be non-negative integers")
     total = sum(d)
     _check_budget(total, budget_sum, "degree sum")
     if total % 2:
-        return []
-
-    resid = list(d)
-    adj: set[tuple[int, int]] = set()
-    out: list[frozenset[tuple[int, int]]] = []
-
-    def rec() -> None:
-        v = next((u for u in range(n) if resid[u] > 0), None)
-        if v is None:
-            out.append(frozenset(adj))
-            return
-        need = resid[v]
-        cands = [
-            u
-            for u in range(v + 1, n)
-            if resid[u] > 0 and (v, u) not in adj
-        ]
-        if need > len(cands):
-            return
-        resid[v] = 0
-        for combo in itertools.combinations(cands, need):
-            for u in combo:
-                resid[u] -= 1
-                adj.add((v, u))
-            rec()
-            for u in combo:
-                resid[u] += 1
-                adj.discard((v, u))
-        resid[v] = need
-
-    rec()
-    return out
+        return 0
+    start = Counter((v, 0, -1) for v in d if v > 0)
+    level = {tuple(sorted(start.items())): 1}
+    done = 0
+    while level:
+        nxt: dict = {}
+        for state, ways in level.items():
+            if not state:
+                done += ways
+                continue
+            # types sort by residual, so the last class holds the largest
+            typ, size = state[-1]
+            rest = state[:-1] + (((typ, size - 1),) if size > 1 else ())
+            for picks, weight, _ in _spreads(rest, typ[0], 1, 1):
+                child = _next_state(rest, picks, 0, False)
+                nxt[child] = nxt.get(child, 0) + weight * ways
+        level = nxt
+    return done
 
 
 def permutation_moment_oracle(

@@ -31,6 +31,39 @@ def brute_bipartite(s, t):
     return out
 
 
+def brute_undirected(d):
+    """Every simple graph with degree sequence d, as a set of (i, j), i < j.
+
+    Takes sets of sum(d)/2 vertex pairs in lexicographic order and keeps
+    those whose degrees are d; a pair that would overfill an endpoint is
+    skipped.  Exponential; keep sum(d) small.
+    """
+    pairs = list(itertools.combinations(range(len(d)), 2))
+    room = list(d)
+    chosen = []
+    out = []
+
+    def rec(first, left):
+        if left == 0:
+            if not any(room):
+                out.append(frozenset(chosen))
+            return
+        for k in range(first, len(pairs) - left + 1):
+            i, j = pairs[k]
+            if room[i] and room[j]:
+                room[i] -= 1
+                room[j] -= 1
+                chosen.append((i, j))
+                rec(k + 1, left - 1)
+                chosen.pop()
+                room[i] += 1
+                room[j] += 1
+
+    if sum(d) % 2 == 0:
+        rec(0, sum(d) // 2)
+    return out
+
+
 def brute_permanent(matrix):
     n = len(matrix)
     total = 0

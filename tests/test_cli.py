@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from degcensus import cli, estimate_bipartite, DegreePair
+from degcensus import cli, core, estimate_bipartite, DegreePair
 from degcensus import estimators as est
 from degcensus import oracles
 from degcensus.cli import main
@@ -114,7 +114,7 @@ def _exact_cases(tmp_path):
         ),
         "undirected_count": (
             ["-d", "2,2,2,2,2"],
-            {"exact": str(len(oracles.enumerate_undirected((2,) * 5)))},
+            {"exact": str(oracles.count_undirected((2,) * 5))},
         ),
         "eulerian": (
             graph("k5", 5, K5),
@@ -168,6 +168,21 @@ class TestEstimateCommand:
         assert payload["assumptions"]["context"] == "bipartite-count"
         assert payload["cutoffs"]["n1"] == 24
         assert "timestamp" not in payload
+
+    def test_stats_are_derived_once(self, capsys, monkeypatch):
+        # the estimator, its correction and the assumption report all read
+        # the stats of the one pair the command parsed
+        pairs = []
+        derive = core._derive_stats
+        monkeypatch.setattr(
+            core, "_derive_stats", lambda dp: pairs.append(dp) or derive(dp)
+        )
+        run_json(
+            capsys,
+            "estimate", "-s", _vec(PAIR_S), "-t", _vec(PAIR_T), "--bipartite",
+            "--no-timestamp",
+        )
+        assert pairs == [DegreePair(PAIR_S, PAIR_T)]
 
     def test_timestamp_present_by_default(self, capsys):
         (payload,) = run_json(
@@ -554,6 +569,37 @@ class TestCompareCommand:
             "--context", "undirected", "--n-range", "4:6", "--no-timestamp",
         )
         assert [r["exact"] for r in records] == ["3", "12", "70"]
+
+    @pytest.mark.parametrize("context", UNDIRECTED_GRID_CONTEXTS)
+    def test_undirected_grid_without_graphs(self, capsys, context):
+        code, out, err = run_cli(
+            capsys,
+            "compare", "--family", "two-regular-undirected",
+            "--context", context, "--n-range", "0:2", "--no-timestamp",
+        )
+        assert (code, err) == (2, "")
+        header, *records = [json.loads(line) for line in out.splitlines()]
+        # n = 0 has one graph, the empty one, which the estimators reject
+        assert [r["error"] for r in records] == [
+            "undirected degree sequence must be non-empty",
+            "no simple graph realises this instance",
+            "no simple graph realises this instance",
+        ]
+        assert {r["error_kind"] for r in records} == {"usage"}
+
+    def test_eulerian_means(self, capsys):
+        # a 2-regular graph with c cycles has 2^c Eulerian orientations, so
+        # n! [x^n] e^(-x - x^2/2) / (1 - x) sums them over all graphs; the
+        # means divide by A001205
+        header, *records = run_json(
+            capsys,
+            "compare", "--family", "two-regular-undirected",
+            "--context", "eulerian-expect", "--n-range", "3:12", "--no-timestamp",
+        )
+        assert [r["exact"] for r in records] == [
+            "2/1", "2/1", "2/1", "16/7", "76/31", "428/167", "361/134",
+            "22496/7969", "197944/67259", "1943224/635347",
+        ]
 
     def test_parallel_workers_match_serial(self, capsys):
         argv = (

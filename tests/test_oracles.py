@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degcensus import (
     BipartiteGraph,
     BudgetError,
     DegreePair,
+    DegreeSequenceError,
     DomainError,
     ForbiddenGraph,
     ParityError,
@@ -23,8 +25,8 @@ from degcensus import (
     count_orientations_with_degrees,
     count_oriented,
     count_partial_matchings,
+    count_undirected,
     enumerate_bipartite,
-    enumerate_undirected,
     exact_expected_permanent,
     expected_permanent_transversal_sum,
     graph_to_matrix,
@@ -33,7 +35,7 @@ from degcensus import (
     ryser_permanent,
 )
 
-from conftest import brute_bipartite, brute_permanent, degree_pairs
+from conftest import brute_bipartite, brute_permanent, brute_undirected, degree_pairs
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
@@ -268,29 +270,58 @@ class TestOrientationCounts:
             count_eulerian_orientations(9, edges)
 
 
+# 2-regular labelled graphs on n = 3 .. 12 vertices (OEIS A001205)
+A001205 = [1, 3, 12, 70, 465, 3507, 30016, 286884, 3026655, 34944085]
+
+
 class TestUndirectedEnumeration:
     def test_perfect_matchings_of_k4(self):
-        graphs = enumerate_undirected((1, 1, 1, 1))
-        assert len(graphs) == 3
+        assert count_undirected((1, 1, 1, 1)) == 3
 
     def test_labeled_four_cycles(self):
-        graphs = enumerate_undirected((2, 2, 2, 2))
-        assert len(graphs) == 3
-        for g in graphs:
-            assert len(g) == 4
-            deg = [0] * 4
-            for u, v in g:
-                assert u < v
-                deg[u] += 1
-                deg[v] += 1
-            assert deg == [2, 2, 2, 2]
+        assert count_undirected((2, 2, 2, 2)) == 3
 
     def test_infeasible_is_empty(self):
-        assert enumerate_undirected((3, 1)) == []
+        assert count_undirected((3, 1)) == 0
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            enumerate_undirected((5,) * 6, budget_sum=20)
+        with pytest.raises(BudgetError, match="degree sum = 30 exceeds budget 20"):
+            count_undirected((5,) * 6, budget_sum=20)
+
+    def test_malformed_degrees_rejected(self):
+        for d in ((1, -1), (1.0, 1), (True, 1)):
+            with pytest.raises(DegreeSequenceError):
+                count_undirected(d)
+
+    @given(st.lists(st.integers(0, 5), max_size=7))
+    @example(())
+    @example((0, 0, 0))
+    @example((1, 1, 1))
+    @example((4, 1, 1, 1, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, d):
+        assert count_undirected(d, budget_sum=35) == len(brute_undirected(d))
+
+    def test_two_regular_is_a001205(self):
+        # n = 12 has degree sum 24, the default budget; listing its 35M
+        # graphs one by one would take hours
+        start = time.perf_counter()
+        got = [count_undirected((2,) * n) for n in range(3, 13)]
+        assert got == A001205
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "d", [(2,) * n for n in range(3, 9)] + [(4,) * n for n in range(5, 8)]
+    )
+    def test_eulerian_orientations_are_oriented_graphs(self, d):
+        # an Eulerian orientation of a simple graph with degrees d is an
+        # oriented graph with out- and in-degrees d/2, and each of those
+        # comes from exactly one simple graph
+        total = sum(
+            count_eulerian_orientations(len(d), g) for g in brute_undirected(d)
+        )
+        half = tuple(v // 2 for v in d)
+        assert total == count_oriented(DegreePair(half, half))
 
 
 class TestPartialMatchings:
