@@ -5,13 +5,18 @@ rewired triple (three edges out, three edges in) and relates the strata B_f of
 graphs meeting the forbidden set in exactly f cells.  The second dismantles a
 designated 2-cycle of a loop-free square graph using four auxiliary edges and
 relates the strata T_q of graphs with exactly q 2-cycles.  Both come with
-reverse operations, exhaustive spec counters, and verifiers that enumerate
-whole strata and assert the forward/reverse double-counting identity as exact
+reverse operations, exact spec counters, and verifiers that enumerate whole
+strata and assert the forward/reverse double-counting identity as exact
 integer equality.
 
 Specs are explicit value objects: every presence/absence condition is checked
-up front and violations raise errors naming the failed clause.  Counting is an
-exhaustive scan over candidate specs, never a sampled search.
+up front and violations raise errors naming the failed clause.  Counting is
+exact, never a sampled search.  The forbidden-edge counters are closed forms:
+their distinctness clauses follow from the presence and absence clauses, so a
+valid spec is a walk through 0/1 cell matrices and the count is a sum of
+entries of a product of five of them (see `count_forward_x_switches`).  The
+2-cycle and removal counters scan their candidate specs through the clause
+checkers.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     BipartiteGraph,
     BudgetError,
     CensusError,
     DegreePair,
+    DegreeSequenceError,
     DomainError,
     ForbiddenGraph,
     SquareOnlyError,
@@ -219,49 +227,72 @@ def apply_reverse_x_switch(
     return out
 
 
-def count_forward_x_switches(g: BipartiteGraph, x: ForbiddenGraph) -> int:
-    """Number of valid forward specs on g, by exhaustive scan.
+def _indicator(m: int, n: int, cells: frozenset[Edge]) -> np.ndarray:
+    """The m x n 0/1 int64 matrix with a 1 on every cell of `cells`."""
+    out = np.zeros((m, n), dtype=np.int64)
+    if cells:
+        rows, cols = zip(*cells)
+        out[rows, cols] = 1
+    return out
 
-    Candidates pair each forbidden edge of the graph with every ordered pair
-    of distinct free edges; validity is decided by the shared clause checker,
-    so this count and the applier can never drift apart.
+
+def _x_switch_matrices(
+    g: BipartiteGraph, x: ForbiddenGraph
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(G, X, A, F): graph, forbidden cells, free edges, empty allowed cells.
+
+    A = G o (1 - X) and F = (1 - G) o (1 - X), with o the entrywise product.
     """
-    x._check_shape(g.degree_pair())
-    targets = sorted(g.edges & x.edges)
-    free = sorted(g.edges - x.edges)
-    total = 0
-    for target in targets:
-        for first, second in itertools.permutations(free, 2):
-            spec = ForwardSwitchSpec(target, (first, second))
-            if _x_forward_violation(g, x, spec) is None:
-                total += 1
-    return total
+    if (g.m, g.n) != (x.m, x.n):
+        raise DegreeSequenceError(
+            f"forbidden shape ({x.m}, {x.n}) does not match pair ({g.m}, {g.n})"
+        )
+    G = _indicator(g.m, g.n, g.edges)
+    X = _indicator(x.m, x.n, x.edges)
+    allowed = 1 - X
+    return G, X, G * allowed, (1 - G) * allowed
+
+
+def count_forward_x_switches(g: BipartiteGraph, x: ForbiddenGraph) -> int:
+    """Number of specs that `apply_forward_x_switch` accepts on g.
+
+    With A the free graph edges and F the empty allowed cells, a spec with
+    target (i, j) in g and x is valid exactly when
+
+        A[a, c] F[i, c] F[a, d] A[b, d] F[b, j] = 1,
+
+    the presence and absence clauses of `_x_forward_violation`.  Its
+    distinctness clauses add nothing: a = i would make the insertion (i, c)
+    the present edge (a, c), b = i makes (b, j) the target, a = b makes
+    (a, d) the present edge (b, d), and c = j, d = j, c = d fail the same way
+    by columns.  Summing over c and d gives (F A^T)[i, a] and (F A^T)[a, b],
+    so the count is the sum over all cells of (F A^T F A^T F) o (G o X).
+    """
+    G, X, A, F = _x_switch_matrices(g, x)
+    walk = F @ A.T
+    # an entry counts pairs of free edges, so it is at most |A|^2 <= S^2; at
+    # most S targets are summed, and int64 is exact while S^3 < 2^63
+    return int(((walk @ walk @ F) * (G * X)).sum())
 
 
 def count_reverse_x_switches(g: BipartiteGraph, x: ForbiddenGraph) -> int:
-    """Number of valid reverse specs on g, by exhaustive scan.
+    """Number of specs that `apply_reverse_x_switch` accepts on g.
 
-    A reverse spec is pinned down by the unoccupied forbidden cell (i, j)
-    together with the graph edges playing (i, c), (b, j), and (a, d); the
-    scan assembles exactly those combinations.
+    For an unoccupied forbidden cell (i, j) a spec is valid exactly when
+
+        A[i, c] F[a, c] A[a, d] F[b, d] A[b, j] = 1,
+
+    the rewired triple present off x and both auxiliary slots empty and
+    allowed.  As in the forward count, every distinctness clause of
+    `_x_reverse_violation` is implied (a = i would need (i, c) both present
+    and empty, b = i would need the empty target (i, j) present, and so on),
+    so the count is the sum over all cells of (A F^T A F^T A) o (X o (1 - G)).
     """
-    x._check_shape(g.degree_pair())
-    row_edges: dict[int, list[Edge]] = {}
-    col_edges: dict[int, list[Edge]] = {}
-    for e in sorted(g.edges):
-        row_edges.setdefault(e[0], []).append(e)
-        col_edges.setdefault(e[1], []).append(e)
-    all_edges = sorted(g.edges)
-    total = 0
-    for target in sorted(x.edges - g.edges):
-        i, j = target
-        for (_, c) in row_edges.get(i, ()):
-            for (b, _) in col_edges.get(j, ()):
-                for (a, d) in all_edges:
-                    spec = ForwardSwitchSpec(target, ((a, c), (b, d)))
-                    if _x_reverse_violation(g, x, spec) is None:
-                        total += 1
-    return total
+    G, X, A, F = _x_switch_matrices(g, x)
+    walk = A @ F.T
+    # entries are at most |A|^2 <= S^2, as in the forward count; at most m n
+    # cells are summed, and int64 is exact while m n S^2 < 2^63
+    return int(((walk @ walk @ A) * (X * (1 - G))).sum())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from degcensus import (
     BipartiteGraph,
     BudgetError,
     DegreePair,
+    DegreeSequenceError,
     DomainError,
     ForbiddenGraph,
     ForwardSwitchSpec,
@@ -100,6 +101,58 @@ def _reverse_applies(g, x, spec):
     return True
 
 
+@st.composite
+def graphs_with_x(draw):
+    """A graph of shape up to 4 x 5 and a forbidden set from empty to full."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    g = BipartiteGraph(m, n, [c for c in cells if draw(st.booleans())])
+    # x takes about a quarter of the cells (where most moves live), none,
+    # about half, or every cell
+    pick = draw(st.sampled_from(((False,) * 3 + (True,), (False,), (False, True), (True,))))
+    x = ForbiddenGraph(m, n, [c for c in cells if draw(st.sampled_from(pick))])
+    return g, x
+
+
+def _successes(apply, g, x, specs):
+    """How many of `specs` the applier accepts on (g, x)."""
+    accepted = 0
+    for spec in specs:
+        try:
+            apply(g, x, spec)
+            accepted += 1
+        except SwitchConditionError:
+            pass
+    return accepted
+
+
+def forward_candidates(g, x):
+    """A target in g and x with an ordered pair of distinct graph edges."""
+    for target in sorted(g.edges & x.edges):
+        for aux in itertools.permutations(sorted(g.edges), 2):
+            yield ForwardSwitchSpec(target, aux)
+
+
+def reverse_candidates(g, x):
+    """A target in x but not g, (i, c) from row i, (b, j) from column j, any (a, d)."""
+    edges = sorted(g.edges)
+    for i, j in sorted(x.edges - g.edges):
+        for _, c in (e for e in edges if e[0] == i):
+            for b, _ in (e for e in edges if e[1] == j):
+                for a, d in edges:
+                    yield ForwardSwitchSpec((i, j), ((a, c), (b, d)))
+
+
+def assert_counts_match_appliers(g, x):
+    """Both counters equal the appliers' successes; returns the two counts' sum."""
+    forward = count_forward_x_switches(g, x)
+    reverse = count_reverse_x_switches(g, x)
+    assert forward == _successes(apply_forward_x_switch, g, x, forward_candidates(g, x))
+    assert reverse == _successes(apply_reverse_x_switch, g, x, reverse_candidates(g, x))
+    return forward + reverse
+
+
 def _disjoint_arc_tuples(arcs, used, size):
     """Ordered tuples of `size` arcs whose endpoints avoid `used` and each other."""
     if size == 0:
@@ -181,15 +234,40 @@ class TestForwardXSwitch:
     def test_forward_count_identity_matrix(self):
         assert count_forward_x_switches(IDENTITY3, X00) == 2
 
-    @given(square_graphs(max_side=4), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_counts_match_naive_recount(self, g, data):
-        cells = [(i, j) for i in range(g.n) for j in range(g.n)]
-        x = ForbiddenGraph(
-            g.n, g.n, data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=3))
-        )
+    @given(graphs_with_x())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_naive_recount(self, gx):
+        g, x = gx
         assert count_forward_x_switches(g, x) == naive_forward_x_count(g, x)
         assert count_reverse_x_switches(g, x) == naive_reverse_x_count(g, x)
+
+    @given(graphs_with_x())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_apply_successes(self, gx):
+        assert_counts_match_appliers(*gx)
+
+    @pytest.mark.parametrize(
+        "dp, x",
+        [
+            (DegreePair.regular(4, 2), ForbiddenGraph.diagonal(4)),
+            (
+                DegreePair((2, 2, 2, 1), (2, 2, 1, 1, 1)),
+                ForbiddenGraph(4, 5, [(0, 0), (1, 2), (2, 4), (3, 1), (3, 3)]),
+            ),
+        ],
+    )
+    def test_counts_match_apply_successes_on_realisations(self, dp, x):
+        # random graphs rarely admit a move; most realisations of these do
+        moves = sum(assert_counts_match_appliers(g, x) for g in enumerate_bipartite(dp))
+        assert moves > 0
+
+    def test_shape_mismatch(self):
+        x = ForbiddenGraph(3, 2, [(0, 0)])
+        for count in (count_forward_x_switches, count_reverse_x_switches):
+            with pytest.raises(
+                DegreeSequenceError, match=r"forbidden shape \(3, 2\) does not match pair \(3, 3\)"
+            ):
+                count(IDENTITY3, x)
 
 
 class TestXSwitchIdentity:
@@ -206,6 +284,23 @@ class TestXSwitchIdentity:
         for f in (1, 2, 3):
             report = verify_x_switch_identity(dp, x, f)
             assert report.total_forward == report.total_reverse
+
+    @pytest.mark.parametrize(
+        "n, d, totals",
+        [
+            (4, 1, [24, 0, 0, 0]),
+            (5, 1, [360, 120, 0, 0, 0]),
+            (6, 1, [3960, 2160, 360, 0, 0, 0]),
+            (4, 2, [24, 48, 48, 24]),
+            (5, 2, [4680, 8040, 6480, 3240, 840]),
+        ],
+    )
+    def test_diagonal_regular_totals(self, n, d, totals):
+        # totals from a scan of every candidate spec through the clause checkers
+        dp = DegreePair.regular(n, d)
+        x = ForbiddenGraph.diagonal(n)
+        got = [verify_x_switch_identity(dp, x, f).total_forward for f in range(1, n + 1)]
+        assert got == totals
 
     def test_report_json(self):
         dp = DegreePair((2, 2, 2), (2, 2, 2))
