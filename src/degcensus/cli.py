@@ -89,9 +89,12 @@ def _delta(args, k: int) -> tuple[int, ...]:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON file {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise UsageError(f"JSON file {path} must hold an object")
+    return payload
 
 
 def _degree_pair(args) -> DegreePair:
@@ -106,8 +109,7 @@ def _forbidden(args, dp: DegreePair) -> ForbiddenGraph | None:
             raise UsageError("--x-diagonal needs a square degree pair")
         return ForbiddenGraph.diagonal(dp.n)
     if getattr(args, "x", None):
-        payload = _load_json(args.x)
-        return ForbiddenGraph.from_json(payload, dp.m, dp.n)
+        return ForbiddenGraph.from_json(_load_json(args.x), dp.m, dp.n)
     return None
 
 
@@ -278,11 +280,13 @@ def _exact_undirected(args) -> dict:
 
 
 def _exact_permanent(args) -> dict:
-    payload = _load_json(args.permanent)
-    if "matrix" not in payload:
-        raise UsageError("permanent input file needs key 'matrix'")
-    value = oracles.ryser_permanent(payload["matrix"], budget_n=args.budget_n)
-    return {"exact": str(value)}
+    rows = _load_json(args.permanent).get("matrix")
+    # ryser_permanent is exact on integers only, and bools are ints to Python
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    ):
+        raise UsageError("permanent input file needs key 'matrix': integer rows")
+    return {"exact": str(oracles.ryser_permanent(rows, budget_n=args.budget_n))}
 
 
 def _graph(args, mode: str, needs: str = "--graph"):
@@ -290,9 +294,10 @@ def _graph(args, mode: str, needs: str = "--graph"):
     if not args.graph:
         raise UsageError(f"--{mode} needs {needs}")
     payload = _load_json(args.graph)
-    if "n" not in payload or "edges" not in payload:
-        raise UsageError(f"graph file {args.graph} needs keys 'n' and 'edges'")
-    return int(payload["n"]), [tuple(int(v) for v in e) for e in payload["edges"]]
+    try:
+        return int(payload["n"]), [tuple(int(v) for v in e) for e in payload["edges"]]
+    except (KeyError, TypeError, ValueError):
+        raise UsageError(f"graph file {args.graph} needs integer 'n' and 'edges'")
 
 
 def _exact_orientations(args) -> dict:

@@ -268,7 +268,10 @@ def _as_edge_set(
 ) -> frozenset[tuple[int, int]]:
     out = set()
     for e in edges:
-        i, j = e
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise DegreeSequenceError(f"{what} edge {e!r} is not a pair") from None
         if not (isinstance(i, int) and isinstance(j, int)):
             raise DegreeSequenceError(f"{what} edge {e!r} is not an integer pair")
         if not (0 <= i < m and 0 <= j < n):

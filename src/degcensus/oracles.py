@@ -433,6 +433,8 @@ def _edges_and_degrees(
     """The sorted (i, j), i < j, edge list of a simple graph and its degrees."""
     out = set()
     for e in edges:
+        if len(e) != 2:
+            raise DegreeSequenceError(f"edge {e!r} is not a pair")
         i, j = e
         if not (0 <= i < n and 0 <= j < n):
             raise DegreeSequenceError(f"edge ({i}, {j}) outside [0, {n})")

@@ -15,8 +15,8 @@ exact, never a sampled search.  The forbidden-edge counters are closed forms:
 their distinctness clauses follow from the presence and absence clauses, so a
 valid spec is a walk through 0/1 cell matrices and the count is a sum of
 entries of a product of five of them (see `count_forward_x_switches`).  The
-2-cycle and removal counters scan their candidate specs through the clause
-checkers.
+2-cycle counters enumerate valid specs as pairs of disjoint alternating walks,
+two clauses a step; only the removal counters scan candidates.
 """
 
 from __future__ import annotations
@@ -356,8 +356,7 @@ class TwoCycleSwitchSpec:
     dismantled.  `aux` holds four auxiliary arcs (b, a), (d, c), (f, e),
     (h, g); together with i and j their endpoints must be ten distinct
     vertices.  Swapping the cycle order and reversing the aux tuple yields
-    the mirror spec with identical edge sets, which is why ordered spec
-    counts are even and are halved by the counters.
+    the mirror spec with identical edge sets, counted once by the counters.
     """
 
     cycle: Edge
@@ -527,78 +526,68 @@ def apply_reverse_twocycle_switch(
     return out
 
 
-def _twocycle_aux_pool(g: BipartiteGraph, i: int, j: int) -> list[Edge]:
-    banned = {i, j}
-    return sorted(e for e in g.edges if e[0] not in banned and e[1] not in banned)
+def _disjoint_walk_pairs(g: BipartiteGraph, forward: bool) -> int:
+    """Number of unordered valid 2-cycle specs on g, forward or reverse.
+
+    Write u ~ v for "no arc either way" and u -> v for "u -> v present, v -> u
+    absent".  A spec is valid exactly when its ten vertices are distinct and
+    two five-step walks join the ends i and j of its cycle, one each way (see
+    the two counters); their first, third and fifth steps are of the outer
+    kind (~ forward, -> reverse).  Each step is two of the 20 non-cycle
+    clauses of `_twocycle_forward_violation`: b ~ i is (b, i) inserted and
+    (i, b) excluded, b -> a is (b, a) removed and (a, b) excluded; reversing
+    swaps what must be present.  The mirror spec swaps the two walks, so one
+    walk each way per pair counts it once.
+    """
+    _square_loopfree_or_raise(g)
+    if g.n < 10:
+        # every spec names ten distinct vertices (_twocycle_shape_violation)
+        return 0
+    n = g.n
+    succ = [{v for u, v in g.edges if u == x} for x in range(n)]
+    pred = [{u for u, v in g.edges if v == x} for x in range(n)]
+    single = [succ[x] - pred[x] for x in range(n)]
+    neither = [set(range(n)) - succ[x] - pred[x] - {x} for x in range(n)]
+    if forward:
+        outer, outer_in, inner, ends = neither, neither, single, g.twocycles()
+    else:
+        outer, outer_in, inner = single, [pred[x] - succ[x] for x in range(n)], neither
+        # each end starts one walk and finishes the other
+        live = {x for x in range(n) if outer[x] and outer_in[x]}
+        ends = [(i, j) for i in live for j in neither[i] & live if i < j]
+
+    def walks(x: int, y: int) -> dict[int, int]:
+        found: dict[int, int] = {}  # bitmask of the inner vertices -> walks x to y
+        for u1 in outer[x]:
+            for u2 in inner[u1]:
+                for u3 in outer[u2]:
+                    for u4 in inner[u3] & outer_in[y]:
+                        mask = 1 << u1 | 1 << u2 | 1 << u3 | 1 << u4
+                        if mask.bit_count() == 4 and not mask & (1 << x | 1 << y):
+                            found[mask] = found.get(mask, 0) + 1
+        return found
+
+    total = 0
+    for i, j in ends:
+        there, back = walks(i, j).items(), walks(j, i).items()
+        total += sum(p * q for a, p in there for b, q in back if not a & b)
+    return total
 
 
 def count_twocycle_switches(g: BipartiteGraph) -> int:
     """Number of unordered forward specs dismantling some 2-cycle of g.
 
-    Ordered specs come in mirror pairs (cycle order swapped, aux reversed),
-    so the ordered total is asserted even and halved.
+    Disjoint walks i ~ b -> a ~ d -> c ~ j and j ~ h -> g ~ f -> e ~ i on {i, j}.
     """
-    _square_loopfree_or_raise(g)
-    if g.n < 10:
-        # every spec names ten distinct vertices (_twocycle_shape_violation)
-        return 0
-    ordered = 0
-    for i, j in g.twocycles():
-        for cycle in ((i, j), (j, i)):
-            pool = _twocycle_aux_pool(g, *cycle)
-            for aux in itertools.permutations(pool, 4):
-                spec = TwoCycleSwitchSpec(cycle, aux)
-                if _twocycle_forward_violation(g, spec) is None:
-                    ordered += 1
-    assert ordered % 2 == 0, ordered
-    return ordered // 2
+    return _disjoint_walk_pairs(g, forward=True)
 
 
 def count_reverse_twocycle_switches(g: BipartiteGraph) -> int:
     """Number of unordered reverse specs reassembling some 2-cycle into g.
 
-    Candidates are pinned by the six rewired arcs: scanning arcs out of j,
-    into i, out of i, into j, plus two free arcs fixes every index.  The
-    mirror-pair argument applies unchanged, so the ordered count is halved.
+    Disjoint walks j -> c ~ d -> a ~ b -> i and i -> e ~ f -> g ~ h -> j on i ~ j.
     """
-    _square_loopfree_or_raise(g)
-    if g.n < 10:
-        # every spec names ten distinct vertices (_twocycle_shape_violation)
-        return 0
-    arcs = sorted(g.edges)
-    out_of: dict[int, list[Edge]] = {}
-    into: dict[int, list[Edge]] = {}
-    for e in arcs:
-        out_of.setdefault(e[0], []).append(e)
-        into.setdefault(e[1], []).append(e)
-    ordered = 0
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i, j) in g.edges or (j, i) in g.edges:
-                continue
-            for (_, c) in out_of.get(j, ()):
-                for (b, _) in into.get(i, ()):
-                    for (d, a) in arcs:
-                        for (_, e_col) in out_of.get(i, ()):
-                            for (f_row, g_col) in arcs:
-                                for (h, _) in into.get(j, ()):
-                                    spec = TwoCycleSwitchSpec(
-                                        (i, j),
-                                        (
-                                            (b, a),
-                                            (d, c),
-                                            (f_row, e_col),
-                                            (h, g_col),
-                                        ),
-                                    )
-                                    if (
-                                        _twocycle_reverse_violation(g, spec)
-                                        is None
-                                    ):
-                                        ordered += 1
-    assert ordered % 2 == 0, ordered
-    return ordered // 2
+    return _disjoint_walk_pairs(g, forward=False)
 
 
 def verify_twocycle_identity(

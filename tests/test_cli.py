@@ -751,6 +751,57 @@ class TestSwitchVerifyCommand:
         assert code == 3
 
 
+# (argv with FILE for the input file, file contents); each must be a usage error
+_PAIR11 = ("-s", "1,1", "-t", "1,1")
+MALFORMED_FILES = {
+    "graph-n-not-int": (
+        ("exact", "--eulerian", "--graph", "FILE"), {"n": "x", "edges": [[0, 1]]}
+    ),
+    "graph-edge-not-int": (
+        ("exact", "--orientations", "--graph", "FILE"), {"n": 3, "edges": [["a", 1]]}
+    ),
+    "graph-edge-triple-eulerian": (
+        ("exact", "--eulerian", "--graph", "FILE"), {"n": 3, "edges": [[0, 1, 2]]}
+    ),
+    "graph-edge-triple-complement": (
+        ("exact", "--complement", "--graph", "FILE"), {"n": 3, "edges": [[0, 1, 2]]}
+    ),
+    "graph-edges-not-list": (
+        ("exact", "--complement", "--graph", "FILE"), {"n": 3, "edges": 7}
+    ),
+    "x-edge-triple-exact": (
+        ("exact", "--bipartite", *_PAIR11, "--x", "FILE"), {"edges": [[0, 1, 2]]}
+    ),
+    "x-edge-triple-estimate": (
+        ("estimate", "--subgraph", *_PAIR11, "--x", "FILE"), {"edges": [[0, 1, 2]]}
+    ),
+    "x-list-exact": (("exact", "--bipartite", *_PAIR11, "--x", "FILE"), [[0, 1]]),
+    "x-list-sample": (
+        ("sample", "--event", "avoids-x", *_PAIR11, "--x", "FILE"), [[0, 1]]
+    ),
+    "x-list-switch-verify": (("switch-verify", *_PAIR11, "--x", "FILE"), [[0, 1]]),
+    "matrix-float": (("exact", "--permanent", "FILE"), {"matrix": [[0.5, 1], [1, 1]]}),
+    "matrix-bool": (("exact", "--permanent", "FILE"), {"matrix": [[True, 1], [1, 1]]}),
+    "matrix-not-list": (("exact", "--permanent", "FILE"), {"matrix": 5}),
+    "matrix-str-entry": (
+        ("exact", "--permanent", "FILE"), {"matrix": [[1, "a"], [0, 1]]}
+    ),
+}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_is_a_one_line_usage_error(self, capsys, tmp_path, case):
+        argv, contents = MALFORMED_FILES[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(contents))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestParsing:
     def test_no_subcommand_is_usage(self, capsys):
         assert main([]) == 2

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from degcensus import (
@@ -115,12 +115,12 @@ def graphs_with_x(draw):
     return g, x
 
 
-def _successes(apply, g, x, specs):
-    """How many of `specs` the applier accepts on (g, x)."""
+def _successes(apply, specs, *inputs):
+    """How many of `specs` the applier accepts on `inputs` (g, or g and x)."""
     accepted = 0
     for spec in specs:
         try:
-            apply(g, x, spec)
+            apply(*inputs, spec)
             accepted += 1
         except SwitchConditionError:
             pass
@@ -148,42 +148,76 @@ def assert_counts_match_appliers(g, x):
     """Both counters equal the appliers' successes; returns the two counts' sum."""
     forward = count_forward_x_switches(g, x)
     reverse = count_reverse_x_switches(g, x)
-    assert forward == _successes(apply_forward_x_switch, g, x, forward_candidates(g, x))
-    assert reverse == _successes(apply_reverse_x_switch, g, x, reverse_candidates(g, x))
+    assert forward == _successes(apply_forward_x_switch, forward_candidates(g, x), g, x)
+    assert reverse == _successes(apply_reverse_x_switch, reverse_candidates(g, x), g, x)
     return forward + reverse
 
 
-def _disjoint_arc_tuples(arcs, used, size):
-    """Ordered tuples of `size` arcs whose endpoints avoid `used` and each other."""
-    if size == 0:
-        yield ()
-        return
-    for u, v in arcs:
-        if u not in used and v not in used:
-            for rest in _disjoint_arc_tuples(arcs, used | {u, v}, size - 1):
-                yield ((u, v),) + rest
+def scan_twocycle_switches(g):
+    """Unordered forward 2-cycle switches of g, by a plain candidate scan.
 
-
-def brute_twocycle_switches(g):
-    """Unordered forward 2-cycle switches of g, by applying every candidate.
-
-    apply_twocycle_switch needs ten distinct vertices (the cycle's two and
-    the endpoints of the four aux arcs), so only aux tuples of pairwise
-    vertex-disjoint arcs that avoid the cycle can succeed; every such tuple
-    is applied and its success counted.  Ordered specs come in mirror pairs.
+    Every ordered 4-tuple of arcs avoiding the cycle is tried with both
+    orders of every 2-cycle; accepted specs come in mirror pairs.
     """
-    arcs = sorted(g.edges)
-    applied = 0
+    specs = []
     for i, j in g.twocycles():
-        for cyc in ((i, j), (j, i)):
-            for aux in _disjoint_arc_tuples(arcs, {i, j}, 4):
-                try:
-                    apply_twocycle_switch(g, TwoCycleSwitchSpec(cyc, aux))
-                    applied += 1
-                except SwitchConditionError:
-                    pass
+        pool = sorted(e for e in g.edges if not {i, j} & set(e))
+        for cycle in ((i, j), (j, i)):
+            aux_tuples = itertools.permutations(pool, 4)
+            specs += [TwoCycleSwitchSpec(cycle, aux) for aux in aux_tuples]
+    applied = _successes(apply_twocycle_switch, specs, g)
     assert applied % 2 == 0
     return applied // 2
+
+
+def scan_reverse_twocycle_switches(g):
+    """Unordered reverse 2-cycle switches of g, by a plain candidate scan.
+
+    For each ordered pair (i, j) with no arc either way, candidates are
+    pinned by the six rewired arcs: (j, c), (b, i), (i, e) and (h, j) at the
+    ends, and any two arcs (d, a) and (f, g).
+    """
+    arcs = sorted(g.edges)
+    specs = []
+    for i, j in itertools.permutations(range(g.n), 2):
+        if (i, j) in g.edges or (j, i) in g.edges:
+            continue
+        rewired = itertools.product(
+            [e for e in arcs if e[0] == j], [e for e in arcs if e[1] == i], arcs,
+            [e for e in arcs if e[0] == i], arcs, [e for e in arcs if e[1] == j],
+        )
+        specs += [
+            TwoCycleSwitchSpec((i, j), ((b, a), (d, c), (f, e), (h, g_)))
+            for (_, c), (b, _), (d, a), (_, e), (f, g_), (h, _) in rewired
+        ]
+    applied = _successes(apply_reverse_twocycle_switch, specs, g)
+    assert applied % 2 == 0
+    return applied // 2
+
+
+# sparse ten-vertex pairs whose loop-free realisations admit 2-cycle moves;
+# SPARSE7 has out-degree 1 on vertices 0-6 and in-degree 1 on vertices 3-9
+SPARSE6 = DegreePair((0, 1, 0, 1, 1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1, 1, 0, 1, 0))
+SPARSE7 = DegreePair((1,) * 7 + (0,) * 3, (0,) * 3 + (1,) * 7)
+
+
+@st.composite
+def sparse_twocycle_digraphs(draw, rewired):
+    """A loop-free digraph on 10 or 11 vertices with at least one 2-cycle.
+
+    It holds the six removed arcs of a random 2-cycle spec (the six inserted
+    ones if `rewired`), so that a move is likely, plus a drawn 2-cycle and up
+    to three drawn arcs, which may spoil that move and make others.
+    """
+    n = draw(st.integers(10, 11))
+    v = draw(st.permutations(range(n)))
+    aux = ((v[3], v[2]), (v[5], v[4]), (v[7], v[6]), (v[9], v[8]))
+    spec = TwoCycleSwitchSpec((v[0], v[1]), aux)
+    arcs = spec.inserted_arcs if rewired else spec.removed_arcs
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    i, j = draw(st.sampled_from(cells))
+    extra = draw(st.lists(st.sampled_from(cells), max_size=3))
+    return BipartiteGraph(n, n, arcs | {(i, j), (j, i), *extra})
 
 
 class TestForwardSwitchSpec:
@@ -378,6 +412,8 @@ class TestTwoCycleSwitch:
         spec = TwoCycleSwitchSpec((4, 5), ((1, 0), (3, 2), (7, 6), (9, 8)))
         out = apply_twocycle_switch(REWIRE10, spec)
         assert count_reverse_twocycle_switches(out) == 2
+        assert scan_reverse_twocycle_switches(out) == 2
+        assert count_twocycle_switches(out) == scan_twocycle_switches(out) == 0
 
     def test_counting_needs_loop_free_square(self):
         with pytest.raises(SquareOnlyError):
@@ -386,28 +422,51 @@ class TestTwoCycleSwitch:
         with pytest.raises(DomainError, match="loop-free"):
             count_twocycle_switches(loopy)
 
-    @given(square_graphs(max_side=5, loop_free=True))
+    # `pytest --hypothesis-show-statistics` reports the share of examples
+    # whose count is nonzero
+    @given(sparse_twocycle_digraphs(rewired=False))
     @settings(max_examples=30, deadline=None)
     def test_forward_count_matches_apply_successes(self, g):
-        assert count_twocycle_switches(g) == brute_twocycle_switches(g)
+        count = count_twocycle_switches(g)
+        event(f"forward count nonzero: {count > 0}")
+        assert count == scan_twocycle_switches(g)
+
+    @given(sparse_twocycle_digraphs(rewired=True))
+    @settings(max_examples=30, deadline=None)
+    def test_reverse_count_matches_apply_successes(self, g):
+        count = count_reverse_twocycle_switches(g)
+        event(f"reverse count nonzero: {count > 0}")
+        assert count == scan_reverse_twocycle_switches(g)
 
     @pytest.mark.parametrize("extra, count", [((), 24), (((0, 3),), 20)])
     def test_forward_count_matches_apply_successes_on_rewire10(self, extra, count):
         # with the arc (0, 3) added, some disjoint aux tuples fail to apply
         g = BipartiteGraph(10, 10, sorted(REWIRE10.edges) + list(extra))
-        assert brute_twocycle_switches(g) == count_twocycle_switches(g) == count
+        assert scan_twocycle_switches(g) == count_twocycle_switches(g) == count
+        assert scan_reverse_twocycle_switches(g) == count_reverse_twocycle_switches(g)
 
 
 class TestTwoCycleIdentity:
     def test_sparse_ten_vertex_family(self):
         # margins that realise graphs like REWIRE10: one stratum with a
         # 2-cycle (24 forward rewirings each) against the cycle-free stratum
-        dp = DegreePair(
-            (0, 1, 0, 1, 1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1, 1, 0, 1, 0)
-        )
-        report = verify_twocycle_identity(dp, 1)
+        report = verify_twocycle_identity(SPARSE6, 1)
         assert report.f_or_q == 1
         assert report.total_forward == report.total_reverse == 576
+
+    def test_counters_match_scans_on_every_sparse_realisation(self):
+        graphs = list(enumerate_bipartite(SPARSE6, ForbiddenGraph.diagonal(10)))
+        forward = [count_twocycle_switches(g) for g in graphs]
+        reverse = [count_reverse_twocycle_switches(g) for g in graphs]
+        assert forward == [scan_twocycle_switches(g) for g in graphs]
+        assert reverse == [scan_reverse_twocycle_switches(g) for g in graphs]
+        nonzero = (sum(map(bool, forward)), sum(map(bool, reverse)))
+        assert (len(graphs), *nonzero) == (504, 24, 288)
+
+    def test_seven_arc_family(self):
+        # 2790 loop-free realisations, with 4320 moves each way between T_1 and T_0
+        report = verify_twocycle_identity(SPARSE7, 1)
+        assert report.total_forward == report.total_reverse == 4320
 
     def test_small_strata_are_trivially_balanced(self):
         # under ten vertices no rewiring fits, so totals are zero on both sides
