@@ -279,12 +279,17 @@ def _exact_undirected(args) -> dict:
     return {"exact": str(count)}
 
 
+def _int_rows(rows) -> bool:
+    """Whether rows is a list of lists of ints; bools are ints to Python."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    )
+
+
 def _exact_permanent(args) -> dict:
     rows = _load_json(args.permanent).get("matrix")
-    # ryser_permanent is exact on integers only, and bools are ints to Python
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
-    ):
+    # ryser_permanent is exact on integers only
+    if not _int_rows(rows):
         raise UsageError("permanent input file needs key 'matrix': integer rows")
     return {"exact": str(oracles.ryser_permanent(rows, budget_n=args.budget_n))}
 
@@ -294,10 +299,11 @@ def _graph(args, mode: str, needs: str = "--graph"):
     if not args.graph:
         raise UsageError(f"--{mode} needs {needs}")
     payload = _load_json(args.graph)
-    try:
-        return int(payload["n"]), [tuple(int(v) for v in e) for e in payload["edges"]]
-    except (KeyError, TypeError, ValueError):
+    n, edges = payload.get("n"), payload.get("edges")
+    # int() would truncate 4.7 and parse "3" instead of rejecting them
+    if type(n) is not int or not _int_rows(edges):
         raise UsageError(f"graph file {args.graph} needs integer 'n' and 'edges'")
+    return n, [tuple(e) for e in edges]
 
 
 def _exact_orientations(args) -> dict:

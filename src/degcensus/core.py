@@ -282,6 +282,14 @@ def _as_edge_set(
     return frozenset(out)
 
 
+def _json_edges(payload: dict) -> list:
+    """The "edges" list of a JSON payload; _as_edge_set checks each entry."""
+    edges = payload.get("edges", [])
+    if not isinstance(edges, list):
+        raise DegreeSequenceError(f"'edges' must be a list of pairs, got {edges!r}")
+    return edges
+
+
 @dataclass(frozen=True, eq=True)
 class ForbiddenGraph:
     """A set of forbidden (or pinned) cells inside an m x n bipartite shape."""
@@ -359,7 +367,7 @@ class ForbiddenGraph:
 
     @classmethod
     def from_json(cls, payload: dict, m: int, n: int) -> "ForbiddenGraph":
-        return cls(m, n, (tuple(e) for e in payload.get("edges", ())))
+        return cls(m, n, _json_edges(payload))
 
 
 @dataclass(frozen=True)
@@ -472,7 +480,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_json(cls, payload: dict, m: int, n: int) -> "BipartiteGraph":
-        return cls(m, n, (tuple(e) for e in payload.get("edges", ())))
+        return cls(m, n, _json_edges(payload))
 
 
 def digraph_to_bipartite(n: int, arcs: Iterable[tuple[int, int]]) -> BipartiteGraph:

@@ -5,7 +5,11 @@ a hard size budget and raises BudgetError beyond it; nothing here is meant
 to scale past validation instances.  Rows are processed in decreasing degree
 (ties by index).  The bipartite, stratified, loop-free and oriented counts
 share one margin recursion over column types (_margin_count), whose steps
-the undirected count reuses; enumerate_bipartite generates neighbour sets in
+the undirected count reuses.  Forbidden cells are mask bits in a column's
+type, except the diagonal of a loop-free count: there a column is tagged
+with the degree of its own pending row, which keeps the count polynomial
+for bounded degrees.  Oriented states merge up to a renumbering of pending
+rows of equal degree.  enumerate_bipartite generates neighbour sets in
 lexicographic column order, so its output order is deterministic.
 """
 
@@ -131,40 +135,66 @@ def _margin_count(
 
     The margin recursion of Miller & Harrison (Ann. Statist. 41(3), 2013).
     Rows are placed one at a time in _row_order.  A column's type is
-    (residual degree, mask, owner): bit k of the mask marks the column's x
-    cell in the row at position k, and owner is the position of the column's
-    own row while that row is pending (oriented counts only, else -1).
+    (residual degree, mask, own): bit k of the mask marks the column's x
+    cell in the row at position k, and own describes the column's own row
+    (oriented counts: its position while it is pending, else -1).
     Columns of one type are interchangeable, so the state after k rows is
     the multiset of types, equal states merge, and a row spreads its degree
     over the type classes with binomial weights.  Counts are polynomials in
     the number of x cells used, cut off at width; width 1 makes the cells of
     x forbidden.
 
+    Width 1 with x the diagonal of a square pair costs no mask bits: own is
+    a tag, the degree of the column's pending own row (0 once that row is
+    placed or if its degree is 0).  Completions do not change when pending
+    rows of equal degree are permuted, so the row at position k may be any
+    pending row of degree degs[k].  If fewer columns carry that tag than
+    such rows are pending, it is a row whose own column is gone, and it
+    forbids nothing.  Otherwise it is the row of one column of the first
+    class so tagged; that column alone gets bit k for this row, and its tag
+    drops to 0.  With bounded degrees the number of states then grows
+    polynomially in n.
+
     With oriented=True, x is the diagonal, and a row r that takes column c
     while row c is pending marks column r for row c, which forbids the arc
     back.  A column whose own row is pending carries that row's diagonal
     bit, so it is alone in its class and the binomial weights stay valid.
+    Masks and owners name row positions, so after each row _relabel
+    renumbers the pending rows of equal degree, and states that differ only
+    in that numbering merge.
     """
     order = _row_order(dp.s)
     # rows of degree 0 come last and place nothing, so they get no position
     rows = sum(1 for v in dp.s if v > 0)
     pos = {row: k for k, row in enumerate(order[:rows])}
     degs = [dp.s[row] for row in order[:rows]]
+    tagged = (
+        width == 1
+        and not oriented
+        and x is not None
+        and x.size == dp.m == dp.n
+        and all(i == j for i, j in x.edges)
+    )
     marks = [0] * dp.n
-    if x is not None:
+    if x is not None and not tagged:
         for i, j in x.edges:
             if i in pos:
                 marks[j] |= 1 << pos[i]
-    start = Counter(
-        (dp.t[j], marks[j], pos.get(j, -1) if oriented else -1)
-        for j in range(dp.n)
-        if dp.t[j] > 0
-    )
+    if tagged:
+        own = dp.s
+    elif oriented:
+        own = [pos.get(j, -1) for j in range(dp.n)]
+    else:
+        own = [-1] * dp.n
+    start = Counter((dp.t[j], marks[j], own[j]) for j in range(dp.n) if dp.t[j] > 0)
     # level: type multiset -> counts of the ways to place rows 0 .. k-1
     level = {tuple(sorted(start.items())): [1] + [0] * (width - 1)}
     for k, need in enumerate(degs):
+        same = degs[k:].count(need)  # pending rows of this degree
         nxt: dict = {}
         for state, ways in level.items():
+            if tagged:
+                state = _untag_one(state, need, same, 1 << k)
             for picks, weight, used in _spreads(state, need, 1 << k, width):
                 child = _next_state(state, picks, k, oriented)
                 acc = nxt.get(child)
@@ -172,8 +202,30 @@ def _margin_count(
                     acc = nxt[child] = [0] * width
                 for f in range(width - used):
                     acc[f + used] += weight * ways[f]
+        if oriented:  # width 1
+            merged: Counter = Counter()
+            for state, (ways,) in nxt.items():
+                merged[_relabel(state, degs, k + 1)] += ways
+            nxt = {state: [ways] for state, ways in merged.items()}
         level = nxt
     return level.get((), [0] * width)
+
+
+def _untag_one(state: tuple, need: int, same: int, bit: int) -> tuple:
+    """The state with the placed row's own column forbidden to it, if present.
+
+    `same` rows of degree `need` are pending, the placed row among them.
+    When every one of them still has its column, one column of the first
+    class tagged `need` becomes a class of its own with the row's bit and
+    tag 0; otherwise the state is returned as it is.
+    """
+    tagged = sum(size for (_, _, tag), size in state if tag == need)
+    if tagged < same:
+        return state
+    i = next(i for i, ((_, _, tag), _) in enumerate(state) if tag == need)
+    (resid, mask, _), size = state[i]
+    rest = (((resid, mask, need), size - 1),) if size > 1 else ()
+    return state[:i] + (((resid, mask | bit, 0), 1),) + rest + state[i + 1 :]
 
 
 def _spreads(
@@ -224,7 +276,7 @@ def _next_state(state: tuple, picks: Sequence[int], k: int, oriented: bool) -> t
     out: dict = {}
     for ((resid, mask, owner), size), a in zip(state, picks):
         mask &= ~bit
-        if owner == k:
+        if oriented and owner == k:
             mask |= back
             owner = -1
         if a and resid > 1:
@@ -234,6 +286,41 @@ def _next_state(state: tuple, picks: Sequence[int], k: int, oriented: bool) -> t
             typ = (resid, mask, owner)
             out[typ] = out.get(typ, 0) + size - a
     return tuple(sorted(out.items()))
+
+
+def _relabel(state: tuple, degs: Sequence[int], first: int) -> tuple:
+    """An oriented state with its pending rows of equal degree renumbered.
+
+    The rows at positions first .. len(degs)-1 are pending.  Each gets a
+    signature that names no other position: the residual and number of mask
+    bits of its own column, and the sorted (residual, number of mask bits,
+    class size) of the other columns its bit is set in.  Within each run of
+    equal degrees the rows are renumbered in signature order, and the masks
+    and owners follow.  Completions do not change when pending rows of equal
+    degree are permuted, so this merges only states with equal counts; rows
+    with equal signatures keep their order, so some equal states stay apart.
+    """
+    pending = range(first, len(degs))
+    own: dict = {}
+    closed: dict = {p: [] for p in pending}
+    for (resid, mask, owner), size in state:
+        marks = mask.bit_count()
+        if owner >= 0:
+            own[owner] = (resid, marks)
+        for p in pending:
+            if mask >> p & 1 and p != owner:
+                closed[p].append((resid, marks, size))
+    sig = {p: (own.get(p, ()), sorted(closed[p])) for p in pending}
+    perm = {}
+    for _, run in itertools.groupby(pending, key=degs.__getitem__):
+        run = list(run)
+        for new, old in zip(run, sorted(run, key=sig.__getitem__)):
+            perm[old] = new
+    out = []
+    for (resid, mask, owner), size in state:
+        mask = sum(1 << perm[p] for p in pending if mask >> p & 1)
+        out.append(((resid, mask, perm.get(owner, -1)), size))
+    return tuple(sorted(out))
 
 
 def count_bipartite(
@@ -269,7 +356,11 @@ def count_bipartite_stratified(
 
 
 def count_loopfree(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> int:
-    """Number of loop-free digraph realisations of a square pair."""
+    """Number of loop-free digraph realisations of a square pair.
+
+    The diagonal runs on degree tags (see _margin_count), so the time is
+    polynomial in n for bounded degrees.
+    """
     if not dp.is_square:
         raise SquareOnlyError("loop-free counting requires m == n")
     return count_bipartite(dp, ForbiddenGraph.diagonal(dp.n), budget_s=budget_s)
@@ -278,8 +369,10 @@ def count_loopfree(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> in
 def count_oriented(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> int:
     """Number of orientations: loop-free digraphs with no 2-cycles.
 
-    The loop-free count with one more rule: an arc r -> c forbids the arc
-    c -> r while row c is still pending (see _margin_count).
+    The count avoiding the diagonal's mask bits, with one more rule: an arc
+    r -> c forbids the arc c -> r while row c is still pending, and states
+    merge up to a renumbering of pending rows of equal degree (see
+    _margin_count).
     """
     if not dp.is_square:
         raise SquareOnlyError("oriented counting requires m == n")

@@ -64,6 +64,36 @@ def brute_undirected(d):
     return out
 
 
+def brute_oriented(s, t):
+    """Number of oriented graphs with out-degrees s and in-degrees t.
+
+    Rows take their out-neighbour sets in index order; a loop, a column past
+    its in-degree or an arc back to an earlier row ends the branch.
+    Exponential; keep sum(s) small.
+    """
+    n = len(s)
+    room = list(t)
+    arcs = set()
+
+    def rec(i):
+        if i == n:
+            return int(not any(room))
+        total = 0
+        for chosen in itertools.combinations(range(n), s[i]):
+            if i in chosen or any(not room[j] or (j, i) in arcs for j in chosen):
+                continue
+            for j in chosen:
+                room[j] -= 1
+                arcs.add((i, j))
+            total += rec(i + 1)
+            for j in chosen:
+                room[j] += 1
+                arcs.discard((i, j))
+        return total
+
+    return rec(0)
+
+
 def brute_permanent(matrix):
     n = len(matrix)
     total = 0
@@ -101,6 +131,18 @@ def square_graphs(draw, max_side=4, loop_free=False):
     ]
     edges = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
     return BipartiteGraph(n, n, edges)
+
+
+@st.composite
+def oriented_graphs(draw, max_side=6):
+    """A random oriented graph (no loops, no 2-cycles) as a square graph."""
+    n = draw(st.integers(2, max_side))
+    arcs = []
+    for i, j in itertools.combinations(range(n), 2):
+        arc = draw(st.sampled_from((None, (i, j), (j, i))))
+        if arc:
+            arcs.append(arc)
+    return BipartiteGraph(n, n, arcs)
 
 
 def degrees_of(edges, m, n):

@@ -775,6 +775,27 @@ MALFORMED_FILES = {
     "x-edge-triple-estimate": (
         ("estimate", "--subgraph", *_PAIR11, "--x", "FILE"), {"edges": [[0, 1, 2]]}
     ),
+    # int() once truncated these to the graph on 4 vertices with (0, 1), (2, 3)
+    "graph-float-and-str-entries": (
+        ("exact", "--eulerian", "--graph", "FILE"),
+        {"n": 4.7, "edges": [[0.9, 1.2], [2, "3"]]},
+    ),
+    "graph-n-bool": (
+        ("exact", "--eulerian", "--graph", "FILE"), {"n": True, "edges": []}
+    ),
+    **{
+        f"x-{name}-{argv[0]}": (argv, contents)
+        for name, contents in (
+            ("edge-int", {"edges": [7]}),
+            ("edges-int", {"edges": 7}),
+        )
+        for argv in (
+            ("exact", "--bipartite", *_PAIR11, "--x", "FILE"),
+            ("estimate", "--subgraph", *_PAIR11, "--x", "FILE"),
+            ("switch-verify", *_PAIR11, "--x", "FILE"),
+            ("sample", "--event", "avoids-x", *_PAIR11, "--x", "FILE"),
+        )
+    },
     "x-list-exact": (("exact", "--bipartite", *_PAIR11, "--x", "FILE"), [[0, 1]]),
     "x-list-sample": (
         ("sample", "--event", "avoids-x", *_PAIR11, "--x", "FILE"), [[0, 1]]

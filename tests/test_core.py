@@ -155,6 +155,14 @@ class TestForbiddenGraph:
         x = ForbiddenGraph(3, 3, [(0, 1), (2, 2)])
         assert ForbiddenGraph.from_json(x.to_json(), 3, 3) == x
 
+    @pytest.mark.parametrize("cls", [ForbiddenGraph, BipartiteGraph])
+    @pytest.mark.parametrize(
+        "payload", [{"edges": [7]}, {"edges": 7}, {"edges": "ab"}, {"edges": [[0]]}]
+    )
+    def test_malformed_json_edges_rejected(self, cls, payload):
+        with pytest.raises(DegreeSequenceError):
+            cls.from_json(payload, 2, 2)
+
     @given(bipartite_graphs(max_side=4))
     def test_mass_additive_over_disjoint_split(self, g):
         """F(X1 + X2) = F(X1) + F(X2) when the parts share no cell."""

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from degcensus import (
@@ -35,7 +35,15 @@ from degcensus import (
     ryser_permanent,
 )
 
-from conftest import brute_bipartite, brute_permanent, brute_undirected, degree_pairs
+from conftest import (
+    brute_bipartite,
+    brute_oriented,
+    brute_permanent,
+    brute_undirected,
+    degree_pairs,
+    oriented_graphs,
+    square_graphs,
+)
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
@@ -145,18 +153,65 @@ class TestDigraphCounts:
         with pytest.raises(SquareOnlyError):
             count_oriented(DegreePair((2,), (1, 1)))
 
-    @given(degree_pairs(max_side=4))
-    @settings(max_examples=25, deadline=None)
-    def test_loopfree_matches_filtered_brute_force(self, dp):
-        if not dp.is_square:
-            return
+    # drawing loop-free graphs too keeps most examples off the count 0
+    @given(
+        st.one_of(square_graphs(max_side=5), square_graphs(max_side=5, loop_free=True))
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_loopfree_matches_filtered_brute_force(self, g):
+        dp = g.degree_pair()
         graphs = brute_bipartite(dp.s, dp.t)
-        assert count_loopfree(dp) == sum(1 for g in graphs if g.loop_count() == 0)
-        assert count_oriented(dp) == sum(
-            1
-            for g in graphs
-            if g.loop_count() == 0 and g.twocycle_count() == 0
+        loopfree = [g for g in graphs if g.loop_count() == 0]
+        event(f"nonzero loop-free count: {bool(loopfree)}")
+        assert count_loopfree(dp, budget_s=dp.total) == len(loopfree)
+        assert count_oriented(dp, budget_s=dp.total) == sum(
+            1 for g in loopfree if g.twocycle_count() == 0
         )
+
+    @given(
+        st.one_of(square_graphs(max_side=6), square_graphs(max_side=6, loop_free=True))
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_tags_match_strata(self, g):
+        # the strata keep one mask bit per diagonal cell, so they count the
+        # loop-free graphs independently of the diagonal's degree tags
+        dp = g.degree_pair()
+        diag = ForbiddenGraph.diagonal(dp.n)
+        budget = dp.total
+        assert (
+            count_loopfree(dp, budget_s=budget)
+            == count_bipartite(dp, diag, budget_s=budget)
+            == count_bipartite_stratified(dp, diag, budget_s=budget)[0]
+        )
+
+    def test_pinned_loopfree_values_in_polynomial_time(self):
+        # a mask bit per pending diagonal cell gives 2^n states and takes 3 s
+        # for 12x12 alone; the bound catches a return to it
+        derangements = 1
+        for n in range(1, 17):
+            derangements = n * derangements + (-1) ** n
+        start = time.perf_counter()
+        assert count_loopfree(DegreePair.regular(10, 2)) == 166261966956
+        assert count_loopfree(DegreePair.regular(12, 2)) == 2714812050902545
+        assert count_loopfree(DegreePair.regular(16, 1)) == derangements
+        assert derangements == 7697064251745
+        assert time.perf_counter() - start < 2.0
+
+    # the drawn oriented graph is itself counted, so no example counts 0
+    @given(oriented_graphs(max_side=6))
+    @settings(max_examples=60, deadline=None)
+    def test_oriented_matches_backtracker(self, g):
+        dp = g.degree_pair()
+        assert count_oriented(dp, budget_s=dp.total) == brute_oriented(dp.s, dp.t)
+
+    def test_pinned_oriented_values_from_relabelled_states(self):
+        # without merging relabelled states, 10x10 alone takes 14 s; 16x16
+        # with d=1 is OEIS A038205
+        start = time.perf_counter()
+        assert count_oriented(DegreePair.regular(10, 2)) == 15453884376
+        assert count_oriented(DegreePair.regular(16, 1)) == 4668504894480
+        assert count_oriented(DegreePair.regular(8, 3)) == 728280
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPermanents:
