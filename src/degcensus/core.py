@@ -272,7 +272,7 @@ def _as_edge_set(
             i, j = e
         except (TypeError, ValueError):
             raise DegreeSequenceError(f"{what} edge {e!r} is not a pair") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if type(i) is not int or type(j) is not int:  # bools are not indices
             raise DegreeSequenceError(f"{what} edge {e!r} is not an integer pair")
         if not (0 <= i < m and 0 <= j < n):
             raise DegreeSequenceError(

@@ -524,6 +524,8 @@ def _edges_and_degrees(
     n: int, edges: Iterable[tuple[int, int]], budget_edges: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The sorted (i, j), i < j, edge list of a simple graph and its degrees."""
+    if n < 0:
+        raise DegreeSequenceError(f"vertex count {n} is negative")
     out = set()
     for e in edges:
         if len(e) != 2:
@@ -546,34 +548,33 @@ def _edges_and_degrees(
 def _count_orientations(
     edge_list: Sequence[tuple[int, int]], deg: Sequence[int], target: Sequence[int]
 ) -> int:
-    """Orientations of a normalised edge list where out_v - in_v = target_v."""
-    if any(abs(t) > dv for t, dv in zip(target, deg)):
+    """Orientations of a normalised edge list where out_v - in_v = target_v.
+
+    A DP over vertices in index order; a state holds each vertex's in-arcs from
+    earlier ones.  Vertex v sends (deg_v + target_v)/2 - earlier_v + state[v]
+    arcs to its later neighbours, in every way; equal states merge."""
+    if any((dv + t) % 2 or abs(t) > dv for t, dv in zip(target, deg)):
         return 0
-    remaining = list(deg)
-    balance = [0] * len(deg)
-
-    def rec(k: int) -> int:
-        if k == len(edge_list):
-            return 1
-        i, j = edge_list[k]
-        total = 0
-        for di, dj in ((1, -1), (-1, 1)):  # orient i->j, then j->i
-            balance[i] += di
-            balance[j] += dj
-            remaining[i] -= 1
-            remaining[j] -= 1
-            if (
-                abs(target[i] - balance[i]) <= remaining[i]
-                and abs(target[j] - balance[j]) <= remaining[j]
-            ):
-                total += rec(k + 1)
-            balance[i] -= di
-            balance[j] -= dj
-            remaining[i] += 1
-            remaining[j] += 1
-        return total
-
-    return rec(0)
+    later: list[list[int]] = [[] for _ in deg]
+    for i, j in edge_list:
+        later[i].append(j)
+    f = {(0,) * len(deg): 1}
+    for v, nbrs in enumerate(later):
+        owed = (deg[v] + target[v]) // 2 - deg[v] + len(nbrs)
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways in f.items():
+            if not 0 <= owed + state[v] <= len(nbrs):
+                continue
+            base = list(state)
+            base[v] = 0
+            for chosen in itertools.combinations(nbrs, owed + state[v]):
+                new = base[:]
+                for u in chosen:
+                    new[u] += 1
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + ways
+        f = nxt
+    return sum(f.values())
 
 
 def count_orientations_with_degrees(

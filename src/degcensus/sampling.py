@@ -17,6 +17,7 @@ rejection, never by reweighting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -153,19 +154,29 @@ def _stream_quotas(samples: int, streams: int) -> list[int]:
     return [base + (1 if k < rem else 0) for k in range(streams)]
 
 
-def _shuffled_stubs(rng: np.random.Generator, stubs: np.ndarray) -> Iterator[list]:
-    """Yield stubs[rng.permutation(len(stubs))] as lists, one per attempt.
+def _simple_pairings(
+    rng: np.random.Generator, stubs: np.ndarray, width: int,
+    fixed: np.ndarray | None = None,
+) -> Iterator[tuple[int, list[int] | None]]:
+    """Yield (attempt number, sorted codes) for each simple stub pairing.
 
-    The permutations are drawn _PERMUTATION_BLOCK_STUBS stubs at a time with
-    rng.permuted, which shuffles the rows of a block one after another exactly
-    as successive rng.permutation calls would; rows left over at the end of a
-    stream are never used, and the stream's generator is dropped with them.
+    Attempt k pairs stubs[rng.permutation(len(stubs))] with the fixed stubs,
+    or without them two by two; (u, v) is coded min * width + max, and a
+    pairing is simple without loops or repeated codes.  rng.permuted draws
+    the same permutations a block of about _PERMUTATION_BLOCK_STUBS stubs at
+    a time, tested at once; a block ends with (next attempt number, None).
     """
     size = stubs.shape[0]
     rows = max(1, _PERMUTATION_BLOCK_STUBS // max(size, 1))
     block = np.tile(np.arange(size), (rows, 1))
-    while True:
-        yield from stubs[rng.permuted(block, axis=1)].tolist()
+    for first in itertools.count(1, rows):  # the block's first attempt number
+        drawn = stubs[rng.permuted(block, axis=1)]
+        a, b = (drawn[:, 0::2], drawn[:, 1::2]) if fixed is None else (fixed, drawn)
+        codes = np.sort(np.minimum(a, b) * width + np.maximum(a, b), axis=1)
+        simple = (a != b).all(axis=1) & (codes[:, 1:] != codes[:, :-1]).all(axis=1)
+        for r in np.flatnonzero(simple).tolist():
+            yield first + r, codes[r].tolist()
+        yield first + rows, None
 
 
 def _rejection_stream(
@@ -175,25 +186,26 @@ def _rejection_stream(
     max_rejections: int,
     condition: Callable[[BipartiteGraph], bool] | None,
 ) -> Iterator[BipartiteGraph]:
-    # the row stubs are fixed; each attempt pairs them with shuffled column stubs
-    row_list = np.repeat(np.arange(dp.m), dp.s).tolist()
-    shuffled = _shuffled_stubs(rng, np.repeat(np.arange(dp.n), dp.t))
-    total = dp.total
+    # rows are fixed; shuffled column stubs pair with them, column j as vertex m + j
+    m, w = dp.m, dp.m + dp.n
+    rows = np.repeat(np.arange(m), dp.s)
+    pairings = _simple_pairings(rng, np.repeat(np.arange(m, w), dp.t), w, rows)
+    last = 0  # the attempt that gave the last sample
     for _ in range(quota):
-        for _attempt in range(max_rejections):
-            edges = set(zip(row_list, next(shuffled)))
-            if len(edges) != total:
+        for attempt, codes in pairings:
+            if attempt - last > max_rejections:
+                raise BudgetError(
+                    f"rejection budget {max_rejections} exhausted; the degree "
+                    "pair (or conditioning event) is too dense for rejection "
+                    "sampling, try the swap-chain or a larger max_rejections"
+                )
+            if codes is None:
                 continue
-            g = BipartiteGraph(dp.m, dp.n, edges)
+            g = BipartiteGraph(m, dp.n, [divmod(c - m, w) for c in codes])
             if condition is None or condition(g):
+                last = attempt
                 yield g
                 break
-        else:
-            raise BudgetError(
-                f"rejection budget {max_rejections} exhausted; the degree "
-                "pair (or conditioning event) is too dense for rejection "
-                "sampling, try the swap-chain or a larger max_rejections"
-            )
 
 
 def _greedy_realisation(dp: DegreePair) -> BipartiteGraph:
@@ -324,28 +336,15 @@ def sample_bipartite(dp: DegreePair, cfg: SamplerConfig) -> BipartiteGraph:
     return next(iter_bipartite_samples(dp, cfg))
 
 
-def _undirected_edges(stubs: list[int]) -> tuple[tuple[int, int], ...] | None:
-    """Pair shuffled stubs two by two; None on a loop or a repeated pair."""
-    edges = set()
-    for u, v in zip(stubs[0::2], stubs[1::2]):
-        if u == v:
-            return None
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            return None
-        edges.add(key)
-    return tuple(sorted(edges))
-
-
 def sample_undirected(
     d: Sequence[int], cfg: SamplerConfig
 ) -> list[tuple[tuple[int, int], ...]]:
     """cfg.samples uniform simple graphs with degree vector d.
 
-    Stub pairing with rejection of loops and repeated pairs; every simple
-    graph is hit by the same number of pairings, so accepted graphs are
-    exactly uniform.  Returns each graph as a sorted tuple of (u, v) pairs
-    with u < v.
+    Stub pairing with rejection of loops and repeated pairs, tested a block
+    of pairings at a time; every simple graph is hit by the same number of
+    pairings, so accepted graphs are exactly uniform.  Returns each graph as
+    a sorted tuple of (u, v) pairs with u < v.
     """
     degs = tuple(int(v) for v in d)
     if any(v < 0 for v in degs):
@@ -359,18 +358,19 @@ def sample_undirected(
     quotas = _stream_quotas(cfg.samples, cfg.streams)
     out: list[tuple[tuple[int, int], ...]] = []
     for rng, quota in zip(rngs, quotas):
-        shuffled = _shuffled_stubs(rng, stubs)
+        pairings = _simple_pairings(rng, stubs, len(degs))
+        last = 0
         for _ in range(quota):
-            for _attempt in range(cfg.max_rejections):
-                edges = _undirected_edges(next(shuffled))
-                if edges is not None:
-                    out.append(edges)
+            for attempt, codes in pairings:
+                if attempt - last > cfg.max_rejections:
+                    raise BudgetError(
+                        f"rejection budget {cfg.max_rejections} exhausted while "
+                        "pairing stubs; the degree vector is too dense"
+                    )
+                if codes is not None:
+                    out.append(tuple(divmod(c, len(degs)) for c in codes))
+                    last = attempt
                     break
-            else:
-                raise BudgetError(
-                    f"rejection budget {cfg.max_rejections} exhausted while "
-                    "pairing stubs; the degree vector is too dense"
-                )
     return out
 
 

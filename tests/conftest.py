@@ -94,6 +94,22 @@ def brute_oriented(s, t):
     return rec(0)
 
 
+def brute_orientations(n, edges, target):
+    """Orientations of a simple graph with out_v - in_v = target_v at every v.
+
+    Tries all 2^|E| orientations.  Exponential; keep the edge count small.
+    """
+    total = 0
+    for heads in itertools.product((0, 1), repeat=len(edges)):
+        balance = [0] * n
+        for (i, j), h in zip(edges, heads):
+            tail, head = (i, j) if h else (j, i)
+            balance[tail] += 1
+            balance[head] -= 1
+        total += balance == list(target)
+    return total
+
+
 def brute_permanent(matrix):
     n = len(matrix)
     total = 0

@@ -783,11 +783,21 @@ MALFORMED_FILES = {
     "graph-n-bool": (
         ("exact", "--eulerian", "--graph", "FILE"), {"n": True, "edges": []}
     ),
+    # both once counted the graph with no vertices and answered 1
+    "graph-n-negative-eulerian": (
+        ("exact", "--eulerian", "--graph", "FILE"), {"n": -3, "edges": []}
+    ),
+    "graph-n-negative-orientations": (
+        ("exact", "--orientations", "--graph", "FILE", "--delta=0"),
+        {"n": -3, "edges": []},
+    ),
     **{
         f"x-{name}-{argv[0]}": (argv, contents)
         for name, contents in (
             ("edge-int", {"edges": [7]}),
             ("edges-int", {"edges": 7}),
+            # once read as the cell (1, 0)
+            ("edge-bool", {"edges": [[True, False]]}),
         )
         for argv in (
             ("exact", "--bipartite", *_PAIR11, "--x", "FILE"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from degcensus import oracles
 from degcensus import (
     BipartiteGraph,
     BudgetError,
@@ -37,6 +38,7 @@ from degcensus import (
 
 from conftest import (
     brute_bipartite,
+    brute_orientations,
     brute_oriented,
     brute_permanent,
     brute_undirected,
@@ -274,6 +276,32 @@ class TestExpectedPermanent:
             exact_expected_permanent(DegreePair((3, 1), (2, 2)))
 
 
+def _circulant(n, *steps):
+    return sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+@st.composite
+def _graphs_with_balance_targets(draw):
+    """A simple graph on at most 8 vertices and 14 edges, and a balance target.
+
+    Half the targets are the balances of one orientation, so their count is
+    positive; the others are arbitrary, odd and out of range included.
+    """
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    size = draw(st.sampled_from(range(min(14, len(pairs)) + 1)))
+    edges = draw(st.permutations(pairs))[:size]
+    if draw(st.booleans()):
+        target = [0] * n
+        for i, j in edges:
+            tail, head = (i, j) if draw(st.booleans()) else (j, i)
+            target[tail] += 1
+            target[head] -= 1
+    else:
+        target = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    return n, edges, target
+
+
 class TestOrientationCounts:
     def test_cycle_examples(self):
         assert count_eulerian_orientations(4, C4_EDGES) == 2
@@ -323,6 +351,32 @@ class TestOrientationCounts:
         edges = list(itertools.combinations(range(9), 2))
         with pytest.raises(BudgetError):
             count_eulerian_orientations(9, edges)
+
+    @pytest.mark.parametrize(
+        "n, edges, expect",
+        [
+            (7, list(itertools.combinations(range(7), 2)), 2640),  # K7
+            (9, _circulant(9, 2, 3, 4), 18152),  # complement of C9
+            (14, _circulant(14, 1, 5), 1266),  # 28 edges, at the budget
+        ],
+    )
+    def test_pinned_eulerian_counts(self, n, edges, expect):
+        assert count_eulerian_orientations(n, edges) == expect
+        assert count_orientations_with_degrees(n, edges, (0,) * n) == expect
+
+    @given(_graphs_with_balance_targets())
+    @settings(max_examples=150, deadline=None)
+    def test_vertex_dp_matches_every_orientation(self, case):
+        n, edges, target = case
+        want = brute_orientations(n, edges, target)
+        event("positive count" if want else "zero count")
+        edge_list, deg = oracles._edges_and_degrees(n, edges, 28)
+        assert oracles._count_orientations(edge_list, deg, target) == want
+        if not any(d % 2 or t % 2 for d, t in zip(deg, target)):
+            delta = [t // 2 for t in target]
+            assert count_orientations_with_degrees(n, edges, delta) == want
+        if not any(target):
+            assert count_eulerian_orientations(n, edges) == want
 
 
 # 2-regular labelled graphs on n = 3 .. 12 vertices (OEIS A001205)

@@ -424,6 +424,82 @@ class TestSameSamplesAsOneDrawAtATime:
             outcomes.update((want == "budget", want_d == "budget"))
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_empty_and_one_edge_inputs(self, streams):
+        cfg = SamplerConfig(
+            seed=4, method="configuration-rejection", samples=5, streams=streams
+        )
+        for dp in (DegreePair((0, 0), (0, 0)), DegreePair((0, 1, 0), (1, 0))):
+            want = _outcome(reference_bipartite_samples, dp, cfg)
+            assert want != "budget"
+            assert _outcome(iter_bipartite_samples, dp, cfg) == want
+        for d in ((0,), (0, 0, 0), (1, 1), (0, 1, 0, 1)):
+            assert sample_undirected(d, cfg) == reference_undirected(d, cfg)
+
+    @pytest.mark.parametrize("block_stubs", [3, 20])
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_small_budgets_across_block_boundaries(
+        self, monkeypatch, block_stubs, budget
+    ):
+        # with blocks of one or two pairings, the attempts a budget counts
+        # run over several blocks
+        monkeypatch.setattr(sampling, "_PERMUTATION_BLOCK_STUBS", block_stubs)
+        outcomes = set()
+        for seed in range(12):
+            cfg = SamplerConfig(
+                seed=seed, method="configuration-rejection", samples=3,
+                max_rejections=budget,
+            )
+            for condition in (None, loop_free):
+                want = _outcome(reference_bipartite_samples, SQUARE5, cfg, condition)
+                got = _outcome(
+                    iter_bipartite_samples, SQUARE5, cfg, condition=condition
+                )
+                assert got == want
+                outcomes.add(want == "budget")
+            for d in ((2,) * 5, (2, 2, 1, 1, 1, 1)):
+                want = _outcome(reference_undirected, d, cfg)
+                assert _outcome(sample_undirected, d, cfg) == want
+                outcomes.add(want == "budget")
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("d", [(2,) * 5, (2,) * 6, (3, 3, 3, 3)])
+    @pytest.mark.parametrize("block_stubs", [None, 36])
+    def test_undirected_odd_sized_blocks(self, monkeypatch, d, block_stubs):
+        if block_stubs is not None:
+            monkeypatch.setattr(sampling, "_PERMUTATION_BLOCK_STUBS", block_stubs)
+        assert sampling._PERMUTATION_BLOCK_STUBS // sum(d) % 2 == 1
+        for streams in (1, 2):
+            cfg = SamplerConfig(seed=13, samples=40, streams=streams)
+            assert sample_undirected(d, cfg) == reference_undirected(d, cfg)
+
+    def test_budget_runs_out_between_simple_pairings(self, monkeypatch):
+        # few pairings of K_{5,5} or K_7 are simple, so a block of them seldom
+        # holds one; the budget must run out inside the first block all the
+        # same, without drawing a second one to look for a simple pairing
+        cfg = SamplerConfig(
+            seed=1, method="configuration-rejection", max_rejections=3
+        )
+        dp = DegreePair.regular(5, 5)
+        assert _outcome(reference_bipartite_samples, dp, cfg) == "budget"
+        assert _outcome(reference_undirected, (6,) * 7, cfg) == "budget"
+
+        class OneBlock:
+            def __init__(self, rng):
+                self.rng, self.blocks = rng, 0
+
+            def permuted(self, *args, **kwargs):
+                self.blocks += 1
+                assert self.blocks == 1, "drew past the budget"
+                return self.rng.permuted(*args, **kwargs)
+
+        spawned = sampling._spawned_rngs
+        monkeypatch.setattr(
+            sampling, "_spawned_rngs", lambda c: [OneBlock(r) for r in spawned(c)]
+        )
+        assert _outcome(iter_bipartite_samples, dp, cfg) == "budget"
+        assert _outcome(sample_undirected, (6,) * 7, cfg) == "budget"
+
     @pytest.mark.parametrize("block_stubs", [3, 20])
     def test_tiny_blocks(self, monkeypatch, block_stubs):
         # chunk and block boundaries now fall inside every walk and sample
