@@ -29,7 +29,6 @@ import json
 import math
 import operator
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Sequence
@@ -550,8 +549,12 @@ def _record_code(record: dict) -> int:
 def cmd_grid(args) -> int:
     """compare and sweep; sweep adds a trend line after the records."""
     jobs = _grid_jobs(args)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool starts all of its workers, so it gets no more than there are jobs
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_instance_record, jobs))
     else:
         records = [_instance_record(job) for job in jobs]
@@ -749,6 +752,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse already printed the message; normalize its exit code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -552,9 +552,12 @@ def _count_orientations(
 
     A DP over vertices in index order; a state holds each vertex's in-arcs from
     earlier ones.  Vertex v sends (deg_v + target_v)/2 - earlier_v + state[v]
-    arcs to its later neighbours, in every way; equal states merge."""
+    arcs to its later neighbours, in every way; equal states merge.  A state
+    that gives a vertex more in-arcs than its in-degree (deg_u - target_u)/2
+    is dropped when it is made."""
     if any((dv + t) % 2 or abs(t) > dv for t, dv in zip(target, deg)):
         return 0
+    indeg = [(dv - t) // 2 for t, dv in zip(target, deg)]
     later: list[list[int]] = [[] for _ in deg]
     for i, j in edge_list:
         later[i].append(j)
@@ -563,7 +566,8 @@ def _count_orientations(
         owed = (deg[v] + target[v]) // 2 - deg[v] + len(nbrs)
         nxt: dict[tuple[int, ...], int] = {}
         for state, ways in f.items():
-            if not 0 <= owed + state[v] <= len(nbrs):
+            # state[v] <= indeg[v], so v never owes more than len(nbrs) arcs
+            if owed + state[v] < 0:
                 continue
             base = list(state)
             base[v] = 0
@@ -571,8 +575,11 @@ def _count_orientations(
                 new = base[:]
                 for u in chosen:
                     new[u] += 1
-                key = tuple(new)
-                nxt[key] = nxt.get(key, 0) + ways
+                    if new[u] > indeg[u]:
+                        break
+                else:
+                    key = tuple(new)
+                    nxt[key] = nxt.get(key, 0) + ways
         f = nxt
     return sum(f.values())
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -37,6 +35,9 @@ from .core import (
     gale_ryser_feasible,
 )
 from .oracles import count_orientations_with_degrees
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SamplerConfig",
@@ -145,6 +146,8 @@ class EmpiricalEstimate:
 
 
 def _spawned_rngs(cfg: SamplerConfig) -> list[np.random.Generator]:
+    import numpy as np
+
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.streams)
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
@@ -166,6 +169,8 @@ def _simple_pairings(
     the same permutations a block of about _PERMUTATION_BLOCK_STUBS stubs at
     a time, tested at once; a block ends with (next attempt number, None).
     """
+    import numpy as np
+
     size = stubs.shape[0]
     rows = max(1, _PERMUTATION_BLOCK_STUBS // max(size, 1))
     block = np.tile(np.arange(size), (rows, 1))
@@ -186,6 +191,8 @@ def _rejection_stream(
     max_rejections: int,
     condition: Callable[[BipartiteGraph], bool] | None,
 ) -> Iterator[BipartiteGraph]:
+    import numpy as np
+
     # rows are fixed; shuffled column stubs pair with them, column j as vertex m + j
     m, w = dp.m, dp.m + dp.n
     rows = np.repeat(np.arange(m), dp.s)
@@ -353,6 +360,8 @@ def sample_undirected(
         raise DegreeSequenceError(
             "degree vector is not realisable by a simple graph"
         )
+    import numpy as np
+
     stubs = np.repeat(np.arange(len(degs)), degs)
     rngs = _spawned_rngs(cfg)
     quotas = _stream_quotas(cfg.samples, cfg.streams)
@@ -375,6 +384,8 @@ def sample_undirected(
 
 
 def _pooled(values: list[float], cfg: SamplerConfig, **extra) -> EmpiricalEstimate:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     n = arr.shape[0]
     point = float(arr.mean())

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -38,6 +36,9 @@ from .core import (
     SquareOnlyError,
 )
 from .oracles import enumerate_bipartite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SwitchConditionError",
@@ -229,6 +230,8 @@ def apply_reverse_x_switch(
 
 def _indicator(m: int, n: int, cells: frozenset[Edge]) -> np.ndarray:
     """The m x n 0/1 int64 matrix with a 1 on every cell of `cells`."""
+    import numpy as np
+
     out = np.zeros((m, n), dtype=np.int64)
     if cells:
         rows, cols = zip(*cells)

@@ -611,6 +611,50 @@ class TestCompareCommand:
         # header echoes the worker count; the per-instance records must agree
         assert serial[1:] == parallel[1:]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", "--family", "one-regular", "--n-range", "4:5"),
+            ("estimate", "-s", "1,1", "-t", "1,1", "--bipartite"),
+        ],
+    )
+    def test_workers_below_one_is_usage(self, capsys, argv, workers):
+        code, out, err = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+    @pytest.mark.parametrize("n_range, pool_size", [("4:5", 2), ("4:6", 3), ("4:4", None)])
+    def test_pool_capped_at_grid_size(self, capsys, monkeypatch, n_range, pool_size):
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        argv = (
+            "compare", "--family", "one-regular", "--context", "loopfree",
+            "--n-range", n_range, "--no-timestamp",
+        )
+        serial = run_json(capsys, *argv)
+        pooled = run_json(capsys, *argv, "--workers", "64")
+        # a one-job grid runs in this process, with no pool
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert serial[1:] == pooled[1:]
+
 
 class TestSweepCommand:
     def test_oriented_trend(self, capsys):

@@ -364,6 +364,21 @@ class TestOrientationCounts:
         assert count_eulerian_orientations(n, edges) == expect
         assert count_orientations_with_degrees(n, edges, (0,) * n) == expect
 
+    @pytest.mark.parametrize(
+        "delta, expect",
+        [
+            ((2, -2, 0, 0, 0, 0, 0), 5),
+            ((1, -1, 1, -1, 0, 0, 0), 18),
+            # vertex 5 takes one in-arc, and its earlier neighbours 0, 3, 4
+            # could send it three: states that overfill it are dropped
+            ((0, 0, 0, 0, 0, 1, -1), 35),
+        ],
+    )
+    def test_pinned_skewed_counts(self, delta, expect):
+        edges = _circulant(7, 1, 2)  # 4-regular, 14 edges
+        assert brute_orientations(7, edges, [2 * dv for dv in delta]) == expect
+        assert count_orientations_with_degrees(7, edges, delta) == expect
+
     @given(_graphs_with_balance_targets())
     @settings(max_examples=150, deadline=None)
     def test_vertex_dp_matches_every_orientation(self, case):
