@@ -754,6 +754,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        budgets = {"--budget-S": args.budget_S, "--budget-n": args.budget_n}
+        for flag, budget in budgets.items():
+            if budget < 0:
+                raise UsageError(f"{flag} must be at least 0, got {budget}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,14 @@
 All results are exact Python integers or fractions.  Each function enforces
 a hard size budget and raises BudgetError beyond it; nothing here is meant
 to scale past validation instances.  Rows are processed in decreasing degree
-(ties by index).  The bipartite, stratified, loop-free and oriented counts
-share one margin recursion over column types (_margin_count), whose steps
-the undirected count reuses.  Forbidden cells are mask bits in a column's
-type, except the diagonal of a loop-free count: there a column is tagged
-with the degree of its own pending row, which keeps the count polynomial
-for bounded degrees.  Oriented states merge up to a renumbering of pending
-rows of equal degree.  enumerate_bipartite generates neighbour sets in
+(ties by index).  The bipartite, stratified and loop-free counts share one
+margin recursion over column types (_margin_count), whose steps the
+undirected count reuses.  A forbidden set with at most one cell per row and
+per column (a partial matching, the diagonal of a loop-free count among
+them) is carried by degree tags on its columns, which keeps the count
+polynomial for bounded degrees; any other forbidden set costs one mask bit
+per row.  Oriented counts eliminate one vertex at a time over residual
+(out, in) types.  enumerate_bipartite generates neighbour sets in
 lexicographic column order, so its output order is deterministic.
 """
 
@@ -42,7 +43,6 @@ __all__ = [
     "enumerate_bipartite",
     "graph_to_matrix",
     "ryser_permanent",
-    "naive_permanent",
     "exact_expected_permanent",
     "expected_permanent_transversal_sum",
     "count_partial_matchings",
@@ -124,89 +124,60 @@ def enumerate_bipartite(
     yield from rec(0)
 
 
-def _margin_count(
-    dp: DegreePair,
-    x: ForbiddenGraph | None,
-    width: int,
-    *,
-    oriented: bool = False,
-) -> list[int]:
+def _margin_count(dp: DegreePair, x: ForbiddenGraph | None, width: int) -> list[int]:
     """Realisations of (s, t) using exactly f cells of x, for f = 0 .. width-1.
 
     The margin recursion of Miller & Harrison (Ann. Statist. 41(3), 2013).
     Rows are placed one at a time in _row_order.  A column's type is
-    (residual degree, mask, own): bit k of the mask marks the column's x
-    cell in the row at position k, and own describes the column's own row
-    (oriented counts: its position while it is pending, else -1).
-    Columns of one type are interchangeable, so the state after k rows is
-    the multiset of types, equal states merge, and a row spreads its degree
-    over the type classes with binomial weights.  Counts are polynomials in
-    the number of x cells used, cut off at width; width 1 makes the cells of
-    x forbidden.
+    (residual degree, mask, tag): bit k of the mask marks the column's x
+    cell in the row at position k.  Columns of one type are
+    interchangeable, so the state after k rows is the multiset of types,
+    equal states merge, and a row spreads its degree over the type classes
+    with binomial weights.  Counts are polynomials in the number of x cells
+    used, cut off at width; width 1 makes the cells of x forbidden.
 
-    Width 1 with x the diagonal of a square pair costs no mask bits: own is
-    a tag, the degree of the column's pending own row (0 once that row is
-    placed or if its degree is 0).  Completions do not change when pending
-    rows of equal degree are permuted, so the row at position k may be any
-    pending row of degree degs[k].  If fewer columns carry that tag than
-    such rows are pending, it is a row whose own column is gone, and it
-    forbids nothing.  Otherwise it is the row of one column of the first
-    class so tagged; that column alone gets bit k for this row, and its tag
-    drops to 0.  With bounded degrees the number of states then grows
-    polynomially in n.
-
-    With oriented=True, x is the diagonal, and a row r that takes column c
-    while row c is pending marks column r for row c, which forbids the arc
-    back.  A column whose own row is pending carries that row's diagonal
-    bit, so it is alone in its class and the binomial weights stay valid.
-    Masks and owners name row positions, so after each row _relabel
-    renumbers the pending rows of equal degree, and states that differ only
-    in that numbering merge.
+    When x has at most one cell per row and per column (a partial matching,
+    the diagonal among them), its cells cost no mask bits: the tag of the
+    column of cell (i, j) is s[i] while row i is pending, else 0.
+    Completions do not change when pending rows of equal degree are
+    permuted, so the row at position k may be any pending row of degree
+    degs[k].  If fewer columns carry that tag than such rows are pending, it
+    is a row whose x cell is gone or was never there, and it forbids
+    nothing.  Otherwise it is the row of one column of the first class so
+    tagged; that column alone gets bit k for this row, and its tag drops to
+    0 (_untag_one).  With bounded degrees the number of states then grows
+    polynomially in n.  Any other x keeps one mask bit per row and is
+    exponential.
     """
     order = _row_order(dp.s)
     # rows of degree 0 come last and place nothing, so they get no position
     rows = sum(1 for v in dp.s if v > 0)
     pos = {row: k for k, row in enumerate(order[:rows])}
     degs = [dp.s[row] for row in order[:rows]]
-    tagged = (
-        width == 1
-        and not oriented
-        and x is not None
-        and x.size == dp.m == dp.n
-        and all(i == j for i, j in x.edges)
-    )
+    cells = x.edges if x is not None else frozenset()
+    matching = len({i for i, _ in cells}) == len({j for _, j in cells}) == len(cells)
     marks = [0] * dp.n
-    if x is not None and not tagged:
-        for i, j in x.edges:
-            if i in pos:
-                marks[j] |= 1 << pos[i]
-    if tagged:
-        own = dp.s
-    elif oriented:
-        own = [pos.get(j, -1) for j in range(dp.n)]
-    else:
-        own = [-1] * dp.n
-    start = Counter((dp.t[j], marks[j], own[j]) for j in range(dp.n) if dp.t[j] > 0)
+    tags = [0] * dp.n
+    for i, j in cells:
+        if matching:
+            tags[j] = dp.s[i]
+        elif i in pos:
+            marks[j] |= 1 << pos[i]
+    start = Counter((dp.t[j], marks[j], tags[j]) for j in range(dp.n) if dp.t[j] > 0)
     # level: type multiset -> counts of the ways to place rows 0 .. k-1
     level = {tuple(sorted(start.items())): [1] + [0] * (width - 1)}
     for k, need in enumerate(degs):
         same = degs[k:].count(need)  # pending rows of this degree
         nxt: dict = {}
         for state, ways in level.items():
-            if tagged:
-                state = _untag_one(state, need, same, 1 << k)
+            state = _untag_one(state, need, same, 1 << k)
             for picks, weight, used in _spreads(state, need, 1 << k, width):
-                child = _next_state(state, picks, k, oriented)
+                child = _next_state(state, picks, 1 << k)
                 acc = nxt.get(child)
                 if acc is None:
                     acc = nxt[child] = [0] * width
                 for f in range(width - used):
                     acc[f + used] += weight * ways[f]
-        if oriented:  # width 1
-            merged: Counter = Counter()
-            for state, (ways,) in nxt.items():
-                merged[_relabel(state, degs, k + 1)] += ways
-            nxt = {state: [ways] for state, ways in merged.items()}
         level = nxt
     return level.get((), [0] * width)
 
@@ -265,62 +236,58 @@ def _spreads(
     return rec(0, need, 1, 0)
 
 
-def _next_state(state: tuple, picks: Sequence[int], k: int, oriented: bool) -> tuple:
-    """The type multiset after the row at position k took picks[i] of class i."""
-    bit = 1 << k
-    back = 0
-    if oriented:
-        for ((_, _, owner), _), a in zip(state, picks):
-            if a and owner > k:
-                back |= 1 << owner
+def _next_state(state: tuple, picks: Sequence[int], bit: int) -> tuple:
+    """The type multiset after the row with `bit` took picks[i] of class i."""
     out: dict = {}
-    for ((resid, mask, owner), size), a in zip(state, picks):
+    for ((resid, mask, tag), size), a in zip(state, picks):
         mask &= ~bit
-        if oriented and owner == k:
-            mask |= back
-            owner = -1
         if a and resid > 1:
-            typ = (resid - 1, mask, owner)
+            typ = (resid - 1, mask, tag)
             out[typ] = out.get(typ, 0) + a
         if size > a:
-            typ = (resid, mask, owner)
+            typ = (resid, mask, tag)
             out[typ] = out.get(typ, 0) + size - a
     return tuple(sorted(out.items()))
 
 
-def _relabel(state: tuple, degs: Sequence[int], first: int) -> tuple:
-    """An oriented state with its pending rows of equal degree renumbered.
+def _meetings(
+    rest: tuple, out: int, inn: int
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """Ways for a vertex owing `out` arcs and `inn` arcs to meet `rest` once each.
 
-    The rows at positions first .. len(degs)-1 are pending.  Each gets a
-    signature that names no other position: the residual and number of mask
-    bits of its own column, and the sorted (residual, number of mask bits,
-    class size) of the other columns its bit is set in.  Within each run of
-    equal degrees the rows are renumbered in signature order, and the masks
-    and owners follow.  Completions do not change when pending rows of equal
-    degree are permuted, so this merges only states with equal counts; rows
-    with equal signatures keep their order, so some equal states stay apart.
+    rest is a multiset of residual (out, in) types.  Each of its vertices
+    gets no arc, an arc from the taken vertex or an arc to it.  Yields
+    (heads, tails, weight): heads[i] vertices of class i get an arc from
+    it and tails[i] send one to it, chosen in weight ways.  Both lists are
+    updated in place between yields.
     """
-    pending = range(first, len(degs))
-    own: dict = {}
-    closed: dict = {p: [] for p in pending}
-    for (resid, mask, owner), size in state:
-        marks = mask.bit_count()
-        if owner >= 0:
-            own[owner] = (resid, marks)
-        for p in pending:
-            if mask >> p & 1 and p != owner:
-                closed[p].append((resid, marks, size))
-    sig = {p: (own.get(p, ()), sorted(closed[p])) for p in pending}
-    perm = {}
-    for _, run in itertools.groupby(pending, key=degs.__getitem__):
-        run = list(run)
-        for new, old in zip(run, sorted(run, key=sig.__getitem__)):
-            perm[old] = new
-    out = []
-    for (resid, mask, owner), size in state:
-        mask = sum(1 << perm[p] for p in pending if mask >> p & 1)
-        out.append(((resid, mask, perm.get(owner, -1)), size))
-    return tuple(sorted(out))
+    heads = [0] * len(rest)
+    tails = [0] * len(rest)
+    # room[i] = number of vertices in classes i, i+1, ...
+    room = list(
+        itertools.accumulate((size for _, size in reversed(rest)), initial=0)
+    )[::-1]
+
+    def rec(i: int, out: int, inn: int, weight: int):
+        if out + inn == 0:
+            yield heads, tails, weight
+            return
+        if room[i] < out + inn:
+            return
+        (p, q), size = rest[i]
+        for a in range(min(size, out) + 1 if q else 1):
+            heads[i] = a
+            for b in range(min(size - a, inn) + 1 if p else 1):
+                tails[i] = b
+                yield from rec(
+                    i + 1,
+                    out - a,
+                    inn - b,
+                    weight * math.comb(size, a) * math.comb(size - a, b),
+                )
+        heads[i] = tails[i] = 0
+
+    return rec(0, out, inn, 1)
 
 
 def count_bipartite(
@@ -369,15 +336,42 @@ def count_loopfree(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> in
 def count_oriented(dp: DegreePair, *, budget_s: int = DEFAULT_EDGE_BUDGET) -> int:
     """Number of orientations: loop-free digraphs with no 2-cycles.
 
-    The count avoiding the diagonal's mask bits, with one more rule: an arc
-    r -> c forbids the arc c -> r while row c is still pending, and states
-    merge up to a renumbering of pending rows of equal degree (see
-    _margin_count).
+    Vertex elimination over the multiset of residual (out, in) types of the
+    pending vertices: a vertex of the least residual degree leaves and
+    meets every other pending vertex once (_meetings), and equal states
+    merge.  With bounded degrees the time is polynomial in n.
     """
     if not dp.is_square:
         raise SquareOnlyError("oriented counting requires m == n")
     _check_budget(dp.total, budget_s, "edge count S")
-    return _margin_count(dp, ForbiddenGraph.diagonal(dp.n), 1, oriented=True)[0]
+    start = Counter(typ for typ in zip(dp.s, dp.t) if typ != (0, 0))
+    level = {tuple(sorted(start.items())): 1}
+    done = 0
+    while level:
+        nxt: dict = {}
+        for state, ways in level.items():
+            if not state:
+                done += ways
+                continue
+            # the first class of least out + in; the first class in (out, in)
+            # order took 3.5 times as long on regular 11x11 with d=3
+            i = min(range(len(state)), key=lambda i: sum(state[i][0]))
+            ((out, inn), size), rest = state[i], state[:i] + state[i + 1 :]
+            if size > 1:
+                rest += (((out, inn), size - 1),)
+            for heads, tails, weight in _meetings(rest, out, inn):
+                types: dict = {}
+                for ((p, q), size), a, b in zip(rest, heads, tails):
+                    # p + q > 1: a vertex left with no arcs to make drops out
+                    for typ, c in (((p, q - 1), a), ((p - 1, q), b)):
+                        if c and p + q > 1:
+                            types[typ] = types.get(typ, 0) + c
+                    if size > a + b:
+                        types[p, q] = types.get((p, q), 0) + size - a - b
+                child = tuple(sorted(types.items()))
+                nxt[child] = nxt.get(child, 0) + weight * ways
+        level = nxt
+    return done
 
 
 def graph_to_matrix(g: BipartiteGraph) -> list[list[int]]:
@@ -424,23 +418,6 @@ def ryser_permanent(matrix: Sequence[Sequence[int]], *, budget_n: int = 24) -> i
         if term:
             total += parity * term
     return total if n % 2 == 0 else -total
-
-
-def naive_permanent(matrix: Sequence[Sequence[int]], *, budget_n: int = 8) -> int:
-    """Permanent by the defining n! sum; cross-check twin for ryser_permanent."""
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise DomainError("permanent needs a non-empty square matrix")
-    _check_budget(n, budget_n, "matrix order n")
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        term = 1
-        for i, j in enumerate(perm):
-            term *= matrix[i][j]
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 def exact_expected_permanent(
@@ -632,7 +609,7 @@ def count_undirected(d: Sequence[int], *, budget_sum: int = DEFAULT_EDGE_BUDGET)
 
     Infeasible sequences, odd sums among them, count zero.  The steps of
     _margin_count on the multiset of residual degrees, as types (resid, 0,
-    -1): a vertex of largest residual leaves and spreads it over the rest.
+    0): a vertex of largest residual leaves and spreads it over the rest.
     """
     if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in d):
         raise DegreeSequenceError("degrees must be non-negative integers")
@@ -640,7 +617,7 @@ def count_undirected(d: Sequence[int], *, budget_sum: int = DEFAULT_EDGE_BUDGET)
     _check_budget(total, budget_sum, "degree sum")
     if total % 2:
         return 0
-    start = Counter((v, 0, -1) for v in d if v > 0)
+    start = Counter((v, 0, 0) for v in d if v > 0)
     level = {tuple(sorted(start.items())): 1}
     done = 0
     while level:
@@ -653,7 +630,7 @@ def count_undirected(d: Sequence[int], *, budget_sum: int = DEFAULT_EDGE_BUDGET)
             typ, size = state[-1]
             rest = state[:-1] + (((typ, size - 1),) if size > 1 else ())
             for picks, weight, _ in _spreads(rest, typ[0], 1, 1):
-                child = _next_state(rest, picks, 0, False)
+                child = _next_state(rest, picks, 1)
                 nxt[child] = nxt.get(child, 0) + weight * ways
         level = nxt
     return done

@@ -16,14 +16,13 @@ their distinctness clauses follow from the presence and absence clauses, so a
 valid spec is a walk through 0/1 cell matrices and the count is a sum of
 entries of a product of five of them (see `count_forward_x_switches`).  The
 2-cycle counters enumerate valid specs as pairs of disjoint alternating walks,
-two clauses a step; only the removal counters scan candidates.
+two clauses a step.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .core import (
     BipartiteGraph,
@@ -55,10 +54,6 @@ __all__ = [
     "count_twocycle_switches",
     "count_reverse_twocycle_switches",
     "verify_twocycle_identity",
-    "loopfree_removal_switch",
-    "count_loopfree_removal_switches",
-    "twocycle_removal_switch",
-    "count_twocycle_removal_switches",
 ]
 
 Edge = tuple[int, int]
@@ -624,188 +619,3 @@ def verify_twocycle_identity(
     assert total_forward == total_reverse, (q, total_forward, total_reverse)
     return SwitchCountReport(q, total_forward, total_reverse)
 
-
-# ---------------------------------------------------------------------------
-# removal switches used by the cutoff arguments
-# ---------------------------------------------------------------------------
-
-
-def _multi_removal_violation(
-    g: BipartiteGraph,
-    targets: Sequence[Edge],
-    partners: Sequence[Edge],
-) -> str | None:
-    """First violated clause of the multi-edge removal switch, or None.
-
-    Targets may share endpoints among themselves; partners must be present,
-    pairwise vertex-disjoint, and vertex-disjoint from every target.  The
-    crossover insertions (target row, partner column) and (partner row,
-    target column) must all be absent.
-    """
-    if len(set(targets)) != len(targets):
-        return "target edges must be distinct"
-    for e in targets:
-        if e not in g.edges:
-            return f"target edge {e} is not in the graph"
-    rows_used: set[int] = set()
-    cols_used: set[int] = set()
-    for e in targets:
-        rows_used.add(e[0])
-        cols_used.add(e[1])
-    seen: set[Edge] = set(targets)
-    for e in partners:
-        if e not in g.edges:
-            return f"partner edge {e} is not in the graph"
-        if e in seen:
-            return f"partner edge {e} reuses an already chosen edge"
-        if e[0] in rows_used or e[1] in cols_used:
-            return f"partner edge {e} shares a vertex with another chosen edge"
-        rows_used.add(e[0])
-        cols_used.add(e[1])
-        seen.add(e)
-    for (tj, tk), (p, q) in zip(targets, partners):
-        for ins in ((tj, q), (p, tk)):
-            if ins in g.edges:
-                return f"inserting {ins} would create double edge"
-    return None
-
-
-def loopfree_removal_switch(
-    g: BipartiteGraph,
-    loop_set: Sequence[Edge],
-    partners: Sequence[Edge],
-    *,
-    budget_f: int = 4,
-) -> BipartiteGraph:
-    """Remove every edge of `loop_set` at once via crossover rewiring.
-
-    Each designated edge (j, k) is paired with a partner edge (p, q); both
-    are deleted and the crossovers (j, q) and (p, k) inserted.  Degrees are
-    preserved exactly while the result avoids every designated cell.  With
-    an empty designation the graph is returned unchanged.  Kept to at most
-    `budget_f` edges: the operation exists for identity testing, not bulk
-    rewiring.
-    """
-    targets = [_edge(e, "target") for e in loop_set]
-    mates = [_edge(e, "partner") for e in partners]
-    if len(mates) != len(targets):
-        raise DomainError("need exactly one partner edge per removed edge")
-    if len(targets) > budget_f:
-        raise BudgetError(
-            f"removal switch limited to {budget_f} edges, got {len(targets)}"
-        )
-    if not targets:
-        return g
-    reason = _multi_removal_violation(g, targets, mates)
-    if reason is not None:
-        raise SwitchConditionError(reason)
-    drop = list(targets) + list(mates)
-    add = []
-    for (tj, tk), (p, q) in zip(targets, mates):
-        add.extend(((tj, q), (p, tk)))
-    out = g.replace(drop=drop, add=add)
-    assert out.degree_pair() == g.degree_pair()
-    assert not (set(targets) & out.edges)
-    return out
-
-
-def count_loopfree_removal_switches(
-    g: BipartiteGraph,
-    loop_set: Sequence[Edge],
-    *,
-    budget_f: int = 4,
-) -> int:
-    """Number of valid partner tuples for removing `loop_set` in one switch.
-
-    Scans ordered tuples of graph edges; an empty designation has exactly
-    the identity switch.
-    """
-    targets = [_edge(e, "target") for e in loop_set]
-    if len(targets) > budget_f:
-        raise BudgetError(
-            f"removal switch limited to {budget_f} edges, got {len(targets)}"
-        )
-    if not targets:
-        return 1
-    pool = sorted(g.edges)
-    total = 0
-    for mates in itertools.permutations(pool, len(targets)):
-        if _multi_removal_violation(g, targets, mates) is None:
-            total += 1
-    return total
-
-
-def _twocycle_removal_violation(
-    g: BipartiteGraph, cycle: Edge, first_aux: Edge, second_aux: Edge
-) -> str | None:
-    """First violated clause of the 2-cycle removal switch, or None.
-
-    The eight required non-arcs implicitly rule out every degenerate index
-    collision (an auxiliary endpoint landing on i or j forces one of the
-    presence conditions to contradict a non-arc condition), so no separate
-    distinctness checks on individual indices are needed beyond i != j.
-    """
-    i, j = cycle
-    a, b = first_aux
-    c, d = second_aux
-    if i == j:
-        return "cycle indices must be distinct"
-    for arc in ((i, j), (j, i)):
-        if arc not in g.edges:
-            return f"cycle arc {arc} is not in the graph"
-    if (a, b) == (c, d):
-        return "auxiliary arcs must be distinct"
-    for label, arc in (("first aux", (a, b)), ("second aux", (c, d))):
-        if arc not in g.edges:
-            return f"{label} arc {arc} is not in the graph"
-        if arc in ((i, j), (j, i)):
-            return f"{label} arc {arc} reuses a cycle arc"
-    for arc in ((i, b), (b, i), (a, i), (i, a), (j, d), (d, j), (c, j), (j, c)):
-        if arc in g.edges:
-            return f"required non-arc {arc} is present"
-    return None
-
-
-def twocycle_removal_switch(
-    g: BipartiteGraph,
-    cycle: Edge,
-    first_aux: Edge,
-    second_aux: Edge,
-) -> BipartiteGraph:
-    """Destroy the 2-cycle on `cycle` using two auxiliary arcs.
-
-    Arcs (i, j), (j, i), (a, b), (c, d) are removed and (i, b), (j, d),
-    (a, i), (c, j) inserted.  Degrees are preserved, no loop can appear, and
-    the designated 2-cycle is gone; auxiliary removals may incidentally
-    destroy other 2-cycles, so only the designated one is asserted.
-    """
-    _square_loopfree_or_raise(g)
-    cycle = _edge(cycle, "cycle")
-    first_aux = _edge(first_aux, "first aux")
-    second_aux = _edge(second_aux, "second aux")
-    reason = _twocycle_removal_violation(g, cycle, first_aux, second_aux)
-    if reason is not None:
-        raise SwitchConditionError(reason)
-    i, j = cycle
-    a, b = first_aux
-    c, d = second_aux
-    out = g.replace(
-        drop=[(i, j), (j, i), (a, b), (c, d)],
-        add=[(i, b), (j, d), (a, i), (c, j)],
-    )
-    assert out.degree_pair() == g.degree_pair()
-    assert out.loop_count() == 0
-    assert (i, j) not in out.edges and (j, i) not in out.edges
-    return out
-
-
-def count_twocycle_removal_switches(g: BipartiteGraph, cycle: Edge) -> int:
-    """Number of ordered auxiliary-arc pairs that can remove `cycle`."""
-    _square_loopfree_or_raise(g)
-    cycle = _edge(cycle, "cycle")
-    pool = sorted(e for e in g.edges if e not in (cycle, cycle[::-1]))
-    total = 0
-    for first, second in itertools.permutations(pool, 2):
-        if _twocycle_removal_violation(g, cycle, first, second) is None:
-            total += 1
-    return total

@@ -625,6 +625,15 @@ class TestCompareCommand:
         assert out == ""
         assert err == f"error: --workers must be at least 1, got {workers}\n"
 
+    @pytest.mark.parametrize("flag", ["--budget-S", "--budget-n"])
+    def test_negative_budget_is_usage(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "exact", "--bipartite", "-s", "1,1", "-t", "1,1", flag, "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least 0, got -1\n"
+
     @pytest.mark.parametrize("n_range, pool_size", [("4:5", 2), ("4:6", 3), ("4:4", None)])
     def test_pool_capped_at_grid_size(self, capsys, monkeypatch, n_range, pool_size):
         import concurrent.futures

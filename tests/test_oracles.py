@@ -31,12 +31,12 @@ from degcensus import (
     exact_expected_permanent,
     expected_permanent_transversal_sum,
     graph_to_matrix,
-    naive_permanent,
     permutation_moment_oracle,
     ryser_permanent,
 )
 
 from conftest import (
+    bipartite_graphs,
     brute_bipartite,
     brute_orientations,
     brute_oriented,
@@ -106,6 +106,10 @@ class TestStratifiedCounts:
         dp = DegreePair.regular(3, 1)
         strata = count_bipartite_stratified(dp, ForbiddenGraph.diagonal(3))
         assert strata == [2, 3, 0, 1]
+        # two cells in one column or one row are no matching: mask bits
+        for cells in ([(0, 0), (1, 0)], [(0, 0), (0, 1)]):
+            x = ForbiddenGraph(3, 3, cells)
+            assert count_bipartite_stratified(dp, x) == [2, 4, 0]
 
     def test_empty_forbidden_set(self):
         dp = DegreePair((2, 1, 1), (1, 2, 1))
@@ -130,6 +134,36 @@ class TestStratifiedCounts:
         for g in brute_bipartite(dp.s, dp.t):
             by_overlap[g.overlap(x)] += 1
         assert strata == by_overlap
+
+    @given(bipartite_graphs(max_side=6, max_edges=12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_partial_matchings_match_enumeration(self, g, data):
+        # x has at most one cell per row and per column, so its cells ride
+        # on degree tags at every width and on rectangular pairs
+        dp = g.degree_pair()
+        rows = data.draw(st.permutations(range(dp.m)))
+        cols = data.draw(st.permutations(range(dp.n)))
+        size = data.draw(st.integers(0, min(dp.m, dp.n)))
+        x = ForbiddenGraph(dp.m, dp.n, zip(rows[:size], cols[:size]))
+        by_overlap = [0] * (size + 1)
+        for h in enumerate_bipartite(dp):
+            by_overlap[h.overlap(x)] += 1
+        assert count_bipartite_stratified(dp, x) == by_overlap
+        assert count_bipartite(dp, x) == by_overlap[0]
+
+    def test_pinned_diagonal_strata_in_polynomial_time(self):
+        # with one mask bit per diagonal cell this took over 10 s
+        start = time.perf_counter()
+        strata = count_bipartite_stratified(
+            DegreePair.regular(10, 3), ForbiddenGraph.diagonal(10), budget_s=30
+        )
+        assert strata == [
+            289021136349036, 1079672195911680, 1903363710394860,
+            2090130731803680, 1587112982358120, 872850271835808,
+            352862120833320, 103701372495840, 21211993979820, 2723721514080,
+            166261966956,
+        ]
+        assert time.perf_counter() - start < 2.0
 
 
 class TestDigraphCounts:
@@ -175,8 +209,8 @@ class TestDigraphCounts:
     )
     @settings(max_examples=60, deadline=None)
     def test_diagonal_tags_match_strata(self, g):
-        # the strata keep one mask bit per diagonal cell, so they count the
-        # loop-free graphs independently of the diagonal's degree tags
+        # all three run on the diagonal's degree tags, the strata with the
+        # full polynomial in the cells used instead of its constant term
         dp = g.degree_pair()
         diag = ForbiddenGraph.diagonal(dp.n)
         budget = dp.total
@@ -206,13 +240,20 @@ class TestDigraphCounts:
         dp = g.degree_pair()
         assert count_oriented(dp, budget_s=dp.total) == brute_oriented(dp.s, dp.t)
 
-    def test_pinned_oriented_values_from_relabelled_states(self):
-        # without merging relabelled states, 10x10 alone takes 14 s; 16x16
-        # with d=1 is OEIS A038205
+    def test_pinned_oriented_values_in_polynomial_time(self):
+        # margin states that mark reverse arcs took over 25 s for 11x11 with
+        # d=3; 16x16 with d=1 is OEIS A038205
         start = time.perf_counter()
         assert count_oriented(DegreePair.regular(10, 2)) == 15453884376
         assert count_oriented(DegreePair.regular(16, 1)) == 4668504894480
         assert count_oriented(DegreePair.regular(8, 3)) == 728280
+        assert (
+            count_oriented(DegreePair.regular(11, 3), budget_s=33) == 638387993275200
+        )
+        assert (
+            count_oriented(DegreePair.regular(16, 2), budget_s=32)
+            == 505133808398958249480060
+        )
         assert time.perf_counter() - start < 2.0
 
 
@@ -231,13 +272,10 @@ class TestPermanents:
         matrix = [
             [data.draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)
         ]
-        assert ryser_permanent(matrix) == naive_permanent(matrix)
         assert ryser_permanent(matrix) == brute_permanent(matrix)
 
     def test_budgets(self):
         big = [[1] * 9 for _ in range(9)]
-        with pytest.raises(BudgetError):
-            naive_permanent(big)
         assert ryser_permanent(big) == math.factorial(9)
         with pytest.raises(BudgetError):
             ryser_permanent(big, budget_n=8)

@@ -22,19 +22,13 @@ from degcensus import (
     apply_reverse_x_switch,
     apply_twocycle_switch,
     count_forward_x_switches,
-    count_loopfree_removal_switches,
     count_reverse_twocycle_switches,
     count_reverse_x_switches,
-    count_twocycle_removal_switches,
     count_twocycle_switches,
     enumerate_bipartite,
-    loopfree_removal_switch,
-    twocycle_removal_switch,
     verify_twocycle_identity,
     verify_x_switch_identity,
 )
-
-from conftest import square_graphs
 
 IDENTITY3 = BipartiteGraph(3, 3, [(0, 0), (1, 1), (2, 2)])
 X00 = ForbiddenGraph(3, 3, [(0, 0)])
@@ -483,109 +477,3 @@ class TestTwoCycleIdentity:
         with pytest.raises(BudgetError):
             verify_twocycle_identity(DegreePair.regular(15, 1), 1)
 
-
-class TestLoopfreeRemoval:
-    def test_identity_matrix_partner_count(self):
-        assert count_loopfree_removal_switches(IDENTITY3, [(0, 0)]) == 2
-
-    def test_apply(self):
-        out = loopfree_removal_switch(IDENTITY3, [(0, 0)], [(1, 1)])
-        assert out.sorted_edges() == ((0, 1), (1, 0), (2, 2))
-        assert out.degree_pair() == IDENTITY3.degree_pair()
-
-    def test_empty_designation_is_identity(self):
-        assert loopfree_removal_switch(IDENTITY3, [], []) == IDENTITY3
-        assert count_loopfree_removal_switches(IDENTITY3, []) == 1
-
-    def test_partner_conditions(self):
-        g = BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (2, 2)])
-        with pytest.raises(SwitchConditionError, match="shares a vertex"):
-            loopfree_removal_switch(g, [(0, 0)], [(0, 1)])
-        with pytest.raises(SwitchConditionError, match="is not in the graph"):
-            loopfree_removal_switch(IDENTITY3, [(0, 1)], [(2, 2)])
-        with pytest.raises(SwitchConditionError, match="double edge"):
-            # both crossovers of target (0,0) and partner (1,1) are occupied
-            loopfree_removal_switch(
-                BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
-                [(0, 0)],
-                [(1, 1)],
-            )
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            loopfree_removal_switch(IDENTITY3, [(0, 0)], [])
-
-    def test_budget(self):
-        g = BipartiteGraph(
-            10, 10, [(i, i) for i in range(5)] + [(5 + i, 9 - i) for i in range(5)]
-        )
-        with pytest.raises(BudgetError):
-            loopfree_removal_switch(
-                g,
-                [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
-                [(5, 9), (6, 8), (7, 7), (8, 6), (9, 5)],
-            )
-
-    def test_multi_target_removal(self):
-        g = BipartiteGraph(
-            6, 6, [(0, 0), (1, 1), (2, 3), (3, 2), (4, 5), (5, 4)]
-        )
-        out = loopfree_removal_switch(g, [(0, 0), (1, 1)], [(2, 3), (4, 5)])
-        assert out.loop_count() == 0
-        assert out.degree_pair() == g.degree_pair()
-
-    @given(square_graphs(max_side=4, loop_free=False))
-    @settings(max_examples=25, deadline=None)
-    def test_count_matches_apply_successes(self, g):
-        loops = [e for e in sorted(g.edges) if e[0] == e[1]][:2]
-        if not loops:
-            return
-        applied = 0
-        for partners in itertools.permutations(sorted(g.edges), len(loops)):
-            try:
-                loopfree_removal_switch(g, loops, partners)
-                applied += 1
-            except SwitchConditionError:
-                pass
-        assert count_loopfree_removal_switches(g, loops) == applied
-
-
-class TestTwoCycleRemoval:
-    DOUBLE = BipartiteGraph(4, 4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-
-    def test_four_vertex_instance_loses_both_cycles(self):
-        # with only four vertices the auxiliary arcs land on the remaining
-        # pair, which always forms a second 2-cycle; the rewiring then
-        # destroys both, never exactly one
-        out = twocycle_removal_switch(self.DOUBLE, (0, 1), (2, 3), (3, 2))
-        assert out.twocycle_count() == 0
-        assert self.DOUBLE.twocycle_count() == 2
-        assert out.degree_pair() == self.DOUBLE.degree_pair()
-        assert out.loop_count() == 0
-
-    def test_four_vertex_ordered_pair_count(self):
-        assert count_twocycle_removal_switches(self.DOUBLE, (0, 1)) == 2
-
-    def test_five_vertex_instance_loses_exactly_one(self):
-        g = BipartiteGraph(5, 5, [(0, 1), (1, 0), (2, 3), (4, 2)])
-        out = twocycle_removal_switch(g, (0, 1), (2, 3), (4, 2))
-        assert g.twocycle_count() == 1
-        assert out.twocycle_count() == 0
-        assert out.degree_pair() == g.degree_pair()
-
-    def test_required_non_arcs(self):
-        g = BipartiteGraph(
-            5, 5, [(0, 1), (1, 0), (2, 3), (4, 2), (0, 3)]
-        )
-        # (i, b) = (0, 3) is occupied, so the rewiring is blocked
-        with pytest.raises(SwitchConditionError, match="double edge|non-arc"):
-            twocycle_removal_switch(g, (0, 1), (2, 3), (4, 2))
-
-    def test_cycle_must_exist(self):
-        g = BipartiteGraph(5, 5, [(0, 1), (2, 3), (4, 2)])
-        with pytest.raises(SwitchConditionError, match="is not in the graph"):
-            twocycle_removal_switch(g, (0, 1), (2, 3), (4, 2))
-
-    def test_aux_must_not_reuse_cycle(self):
-        with pytest.raises(SwitchConditionError, match="reuses a cycle arc"):
-            twocycle_removal_switch(self.DOUBLE, (0, 1), (1, 0), (2, 3))
